@@ -1,10 +1,13 @@
-//! Criterion bench for the partition-parallel executor: triangle-hard
-//! (Example 2.2) and 4-cycle instances at 1/2/4/8 worker threads, sharing
-//! one preparation per instance so only evaluation is timed.
+//! Criterion bench for one query sharded over the service pool:
+//! triangle-hard (Example 2.2) and 4-cycle instances on `Service`s of
+//! 1/2/4/8 workers, sharing one preparation per instance so only
+//! planning + evaluation are timed.
+
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcoj_core::nprr::PreparedQuery;
-use wcoj_exec::{par_join_prepared, ExecConfig};
+use wcoj_service::{ExecConfig, Service, ServiceConfig};
 
 fn bench(c: &mut Criterion) {
     let mut g = c.benchmark_group("e13_par_scaling");
@@ -14,17 +17,20 @@ fn bench(c: &mut Criterion) {
         ("triangle_hard", wcoj_datagen::example_2_2(2048)),
         ("cycle4", wcoj_datagen::cycle_instance(13, 4, 3000, 250)),
     ];
+    let cfg = ExecConfig {
+        shard_min_size: 1,
+        ..ExecConfig::default()
+    };
     for (name, rels) in &instances {
-        let prepared = PreparedQuery::new(rels).expect("well-formed instance");
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            };
-            g.bench_with_input(BenchmarkId::new(*name, threads), &cfg, |b, cfg| {
+        let prepared = Arc::new(PreparedQuery::new(rels).expect("well-formed instance"));
+        for workers in [1usize, 2, 4, 8] {
+            let service = Service::new(ServiceConfig::with_workers(workers));
+            g.bench_with_input(BenchmarkId::new(*name, workers), &cfg, |b, cfg| {
                 b.iter(|| {
-                    par_join_prepared(&prepared, None, cfg)
+                    service
+                        .submit(&prepared, cfg)
+                        .expect("submit")
+                        .wait()
                         .expect("join succeeds")
                         .relation
                         .len()

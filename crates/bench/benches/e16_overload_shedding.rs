@@ -10,7 +10,7 @@ use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use wcoj_core::nprr::PreparedQuery;
-use wcoj_exec::ExecConfig;
+use wcoj_service::ExecConfig;
 use wcoj_service::{Service, ServiceConfig, SubmitError};
 
 fn bench(c: &mut Criterion) {

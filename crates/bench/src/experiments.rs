@@ -682,21 +682,22 @@ pub fn e15_tighten() -> Vec<Table> {
     vec![t]
 }
 
-/// E16 — partition-parallel scaling (`wcoj-exec`): triangle-hard and
-/// 4-cycle instances at 1/2/4/8 worker threads, reporting wall-clock
-/// speedup over the single-thread run. Mirrors the
+/// E16 — one query sharded over the service pool: triangle-hard and
+/// 4-cycle instances on `Service`s of 1/2/4/8 workers, reporting
+/// wall-clock speedup over the 1-worker pool. Mirrors the
 /// `e13_par_scaling` criterion bench inside the harness so speedups are
 /// recorded alongside the paper experiments. (On a single-core host the
 /// speedup column is expectedly ≈1.)
 #[must_use]
 pub fn e16_par_scaling(quick: bool) -> Vec<Table> {
+    use std::sync::Arc;
     use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::{par_join_prepared, ExecConfig};
+    use wcoj_service::{ExecConfig, Service, ServiceConfig};
     let mut t = Table::new(
         "e16",
-        "wcoj-exec partition-parallel scaling: par_join vs 1-thread run",
-        &["instance", "threads", "shards", "output", "ms", "speedup"],
-        "output identical across thread counts; speedup grows toward the core count",
+        "wcoj-service one-query scaling: a sharded join vs the 1-worker pool",
+        &["instance", "workers", "shards", "output", "ms", "speedup"],
+        "output identical across pool sizes; speedup grows toward the core count",
     );
     let (tri_n, cyc_n, cyc_dom) = if quick {
         (256, 400, 60)
@@ -707,17 +708,23 @@ pub fn e16_par_scaling(quick: bool) -> Vec<Table> {
         ("triangle_hard", gen::example_2_2(tri_n)),
         ("cycle4", gen::cycle_instance(13, 4, cyc_n, cyc_dom)),
     ];
+    let cfg = ExecConfig {
+        shard_min_size: 1,
+        ..ExecConfig::default()
+    };
     for (name, rels) in &instances {
-        let prepared = PreparedQuery::new(rels).expect("well-formed instance");
+        let prepared = Arc::new(PreparedQuery::new(rels).expect("well-formed instance"));
         let mut base_secs = None;
         let mut base_len = None;
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..ExecConfig::default()
-            };
-            let (out, secs) = time_secs(|| par_join_prepared(&prepared, None, &cfg).expect("join"));
+        for workers in [1usize, 2, 4, 8] {
+            let service = Service::new(ServiceConfig::with_workers(workers));
+            let (out, secs) = time_secs(|| {
+                service
+                    .submit(&prepared, &cfg)
+                    .expect("submit")
+                    .wait()
+                    .expect("join")
+            });
             let base = *base_secs.get_or_insert(secs);
             match base_len {
                 None => base_len = Some(out.relation.len()),
@@ -725,7 +732,7 @@ pub fn e16_par_scaling(quick: bool) -> Vec<Table> {
             }
             t.row(vec![
                 (*name).to_owned(),
-                threads.to_string(),
+                workers.to_string(),
                 out.stats.shards.to_string(),
                 out.relation.len().to_string(),
                 ms(secs),
@@ -745,7 +752,7 @@ pub fn e16_par_scaling(quick: bool) -> Vec<Table> {
 pub fn e17_service_throughput(quick: bool) -> Vec<Table> {
     use std::sync::Arc;
     use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
+    use wcoj_service::ExecConfig;
     use wcoj_service::{Service, ServiceConfig};
 
     let mut t = Table::new(
@@ -839,25 +846,26 @@ pub fn e17_service_throughput(quick: bool) -> Vec<Table> {
     vec![t]
 }
 
-/// E18 — intra-value parallelism (`wcoj-exec` anchor sub-shards): a
-/// single-hot-key workload — one root value carrying ≥ 90% of the
-/// estimated work — at 1/2/4/8 worker threads, with the heavy-value
-/// splitter on (default) and off (`heavy_split_factor = 0`, singleton
-/// isolation only). Reports the task count, how many tasks are anchor
-/// sub-shards, and wall-clock speedup over the 1-thread run; outputs are
-/// verified identical across all configurations. (On a single-core host
-/// the speedup column is expectedly ≈ 1.)
+/// E18 — intra-value parallelism (anchor sub-shards): a single-hot-key
+/// workload — one root value carrying ≥ 90% of the estimated work — on
+/// `Service`s of 1/2/4/8 workers, with the heavy-value splitter on
+/// (default) and off (`heavy_split_factor = 0`, singleton isolation
+/// only). Reports the task count, how many tasks are anchor sub-shards,
+/// and wall-clock speedup over the 1-worker pool; outputs are verified
+/// identical across all configurations. (On a single-core host the
+/// speedup column is expectedly ≈ 1.)
 #[must_use]
 pub fn e18_heavy_key_scaling(quick: bool) -> Vec<Table> {
+    use std::sync::Arc;
     use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::{par_join_prepared, ExecConfig, ShardPlan, OVERSPLIT};
+    use wcoj_service::{ExecConfig, Service, ServiceConfig};
     let mut t = Table::new(
         "e18",
-        "wcoj-exec intra-value parallelism: single-hot-key workload, split on/off",
+        "wcoj-service intra-value parallelism: single-hot-key workload, split on/off",
         &[
             "instance",
             "mode",
-            "threads",
+            "workers",
             "tasks",
             "sub_shards",
             "output",
@@ -873,7 +881,7 @@ pub fn e18_heavy_key_scaling(quick: bool) -> Vec<Table> {
         ("hot_key_2", wcoj_datagen::hot_key_triangle(43, hot / 2, 2)),
     ];
     for (name, rels) in &instances {
-        let prepared = PreparedQuery::new(rels).expect("well-formed instance");
+        let prepared = Arc::new(PreparedQuery::new(rels).expect("well-formed instance"));
         let weights = prepared.root_candidate_weights();
         let total: u64 = weights.iter().map(|&(_, w)| w).sum();
         let hottest = weights.iter().map(|&(_, w)| w).max().expect("non-empty");
@@ -881,7 +889,7 @@ pub fn e18_heavy_key_scaling(quick: bool) -> Vec<Table> {
             hottest as f64 / total as f64 >= 0.9,
             "{name}: one root value carries ≥ 90% of the work"
         );
-        // One sequential oracle per instance: every mode × thread-count
+        // One sequential oracle per instance: every mode × pool-size
         // configuration must reproduce it bit for bit.
         let oracle = join_with(rels, Algorithm::Nprr, None)
             .expect("sequential oracle")
@@ -890,42 +898,41 @@ pub fn e18_heavy_key_scaling(quick: bool) -> Vec<Table> {
             ("split", ExecConfig::default().heavy_split_factor),
             ("nosplit", 0),
         ] {
+            let cfg = ExecConfig {
+                shard_min_size: 1,
+                heavy_split_factor: factor,
+            };
             let mut base_secs = None;
-            for threads in [1usize, 2, 4, 8] {
-                let cfg = ExecConfig {
-                    threads,
-                    shard_min_size: 1,
-                    heavy_split_factor: factor,
-                    ..ExecConfig::default()
-                };
-                // the plan the run actually executes (1 thread = in-place
-                // sequential run, no shards)
-                let (tasks, sub_shards) = if threads > 1 {
-                    let plan = ShardPlan::plan(&prepared, threads * OVERSPLIT, &cfg);
-                    let subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
-                    (plan.tasks().len(), subs)
+            for workers in [1usize, 2, 4, 8] {
+                let service = Service::new(ServiceConfig::with_workers(workers));
+                // the layout the pool actually runs
+                let layout = service.shard_layout(&*prepared, &cfg);
+                let sub_shards = layout
+                    .iter()
+                    .filter(|t| t.is_some_and(|s| s.anchor.is_some()))
+                    .count();
+                if mode == "split" {
+                    assert!(sub_shards >= 2, "{name}: hot key split into sub-shards");
                 } else {
-                    (1, 0)
-                };
-                if threads > 1 {
-                    if mode == "split" {
-                        assert!(sub_shards >= 2, "{name}: hot key split into sub-shards");
-                    } else {
-                        assert_eq!(sub_shards, 0, "{name}: splitter disabled");
-                    }
+                    assert_eq!(sub_shards, 0, "{name}: splitter disabled");
                 }
-                let (out, secs) =
-                    time_secs(|| par_join_prepared(&prepared, None, &cfg).expect("join"));
+                let (out, secs) = time_secs(|| {
+                    service
+                        .submit(&prepared, &cfg)
+                        .expect("submit")
+                        .wait()
+                        .expect("join")
+                });
                 let base = *base_secs.get_or_insert(secs);
                 assert_eq!(
                     out.relation, oracle,
-                    "{name}: {mode} t={threads} bit-identical to sequential"
+                    "{name}: {mode} @ {workers} workers bit-identical to sequential"
                 );
                 t.row(vec![
                     (*name).to_owned(),
                     mode.to_owned(),
-                    threads.to_string(),
-                    tasks.to_string(),
+                    workers.to_string(),
+                    layout.len().to_string(),
                     sub_shards.to_string(),
                     out.relation.len().to_string(),
                     ms(secs),
@@ -950,7 +957,7 @@ pub fn e19_overload_shedding(quick: bool) -> Vec<Table> {
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::sync::{Arc, Mutex};
     use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
+    use wcoj_service::ExecConfig;
     use wcoj_service::{Service, ServiceConfig, SubmitError};
 
     const QUEUE_DEPTH: usize = 4;
@@ -1090,8 +1097,8 @@ pub fn e19_overload_shedding(quick: bool) -> Vec<Table> {
 pub fn e20_obs_profiles(quick: bool) -> Vec<Table> {
     use std::sync::Arc;
     use wcoj_core::nprr::PreparedQuery;
-    use wcoj_exec::ExecConfig;
     use wcoj_obs::{trace, TraceEvent, TraceLevel};
+    use wcoj_service::ExecConfig;
     use wcoj_service::{Service, ServiceConfig};
 
     let mut t = Table::new(
@@ -1555,7 +1562,7 @@ mod tests {
     #[test]
     fn e16_smoke() {
         let t = e16_par_scaling(true);
-        // 2 instances × 4 thread counts; outputs agree by construction
+        // 2 instances × 4 pool sizes; outputs agree by construction
         assert_eq!(t[0].rows.len(), 8);
     }
     #[test]
@@ -1628,14 +1635,15 @@ mod tests {
     #[test]
     fn e18_smoke() {
         let t = e18_heavy_key_scaling(true);
-        // 2 instances × 2 modes × 4 thread counts; the asserts inside
-        // already verified identical outputs and sub-shard presence
+        // 2 instances × 2 modes × 4 pool sizes; the asserts inside
+        // already verified identical outputs and sub-shard presence. Every
+        // pool size shards (the 1-worker plan still targets OVERSPLIT
+        // shards), so split mode carries sub-shards at every size.
         assert_eq!(t[0].rows.len(), 16);
         for row in &t[0].rows {
-            let threads: usize = row[2].parse().unwrap();
             let subs: usize = row[4].parse().unwrap();
-            match (row[1].as_str(), threads) {
-                ("split", t) if t > 1 => assert!(subs >= 2, "{row:?}"),
+            match row[1].as_str() {
+                "split" => assert!(subs >= 2, "{row:?}"),
                 _ => assert_eq!(subs, 0, "{row:?}"),
             }
         }

@@ -94,8 +94,8 @@ impl Subgoal {
 }
 
 /// The §7.3 reduction of a whole query: one reduced relation per subgoal,
-/// ready for any natural-join engine (the sequential [`crate::join`] or
-/// `wcoj-exec`'s partition-parallel `par_join`).
+/// ready for any natural-join engine (the sequential [`crate::join`], or a
+/// `PreparedQuery` sharded over `wcoj-service`'s worker pool).
 ///
 /// # Errors
 /// [`QueryError::EmptyQuery`] when no subgoals are given.

@@ -172,8 +172,8 @@ impl AnchorRange {
 /// attribute at total-order position 1: a *sub-shard* splitting the work
 /// inside one heavy root value across workers. Sub-shards only make
 /// sense for queries whose total order has ≥ 2 attributes — the planner
-/// (`wcoj-exec`) enforces that; an anchored shard on a shorter order
-/// would re-enumerate the full result in every sub-shard.
+/// (`wcoj-service`'s `plan` module) enforces that; an anchored shard on a
+/// shorter order would re-enumerate the full result in every sub-shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RootShard {
     /// Smallest admitted value for the first attribute in the total order.

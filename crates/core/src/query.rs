@@ -232,17 +232,6 @@ impl JoinQuery {
                 let (x, log2_bound) = resolve_cover(self)?;
                 nprr::join_nprr(self, &x, log2_bound)
             }
-            Algorithm::NprrParallel => {
-                let Some(exec) = crate::parallel_executor() else {
-                    return Err(QueryError::AlgorithmMismatch(
-                        "Algorithm::NprrParallel needs the wcoj-exec engine: link it and \
-                         call wcoj_exec::install() (the wcoj facade and wcoj-query do so \
-                         automatically), or call wcoj_exec::par_join directly",
-                    ));
-                };
-                let (x, log2_bound) = resolve_cover(self)?;
-                exec(self, &x, log2_bound)
-            }
         }
     }
 }

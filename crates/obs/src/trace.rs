@@ -24,8 +24,9 @@ pub enum TraceLevel {
 impl TraceLevel {
     /// Parses a `WCOJ_TRACE` value: `off`/`0`, `summary`/`1`,
     /// `verbose`/`2` (trimmed, ASCII case-insensitive). `None` for
-    /// anything else — the caller decides how to warn (`wcoj-exec` routes
-    /// this through its warn-once malformed-env registry).
+    /// anything else — the caller decides how to warn
+    /// ([`env::trace_level_from_env`](crate::env::trace_level_from_env)
+    /// routes this through the warn-once malformed-env registry).
     #[must_use]
     pub fn parse(s: &str) -> Option<TraceLevel> {
         let s = s.trim();

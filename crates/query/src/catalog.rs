@@ -1,10 +1,9 @@
 //! Named relations plus the shared value dictionary.
 
-use crate::plan_cache::{next_generation, PlanCache};
+use crate::plan_cache::{next_generation, CachedPlan, PlanCache};
 use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
-use wcoj_exec::ExecConfig;
 use wcoj_obs::{Counter, Gauge};
 use wcoj_service::Service;
 use wcoj_storage::{Datum, DeltaRelation, Dictionary, Relation, StorageError, Value};
@@ -56,9 +55,9 @@ struct Stored {
 
 /// A catalog: named relations sharing one [`Dictionary`] so string values
 /// compare consistently across relations, plus the catalog-level execution
-/// configuration (sequential by default; opt in to the partition-parallel
-/// engine with [`Catalog::set_parallel`], or route every query through a
-/// process-wide shared worker pool with [`Catalog::set_service`]).
+/// route (inline on the calling thread by default; route every query
+/// through a process-wide shared worker pool with
+/// [`Catalog::set_service`]).
 ///
 /// ## Mutation and versioning
 ///
@@ -72,7 +71,8 @@ struct Stored {
 /// compaction) and `delta_ver` (changes on every row mutation, `0` when
 /// the buffers are empty). The plan cache keys prepared shapes on
 /// `base_gen` and re-merges deltas on `delta_ver` drift, so an append
-/// refreshes only the cheap delta side of a cached plan.
+/// refreshes only the cheap delta side of a cached plan; a replace,
+/// compaction or removal evicts the plans keyed on the superseded base.
 ///
 /// ## Snapshots
 ///
@@ -85,7 +85,6 @@ struct Stored {
 pub struct Catalog {
     dict: Arc<Dictionary>,
     relations: BTreeMap<String, Stored>,
-    parallel: Option<ExecConfig>,
     service: Option<Arc<Service>>,
     plan_cache: PlanCache,
     compact_threshold: usize,
@@ -98,37 +97,22 @@ impl Default for Catalog {
 }
 
 impl Catalog {
-    /// An empty catalog (sequential execution).
+    /// An empty catalog (inline execution).
     #[must_use]
     pub fn new() -> Catalog {
         Catalog {
             dict: Arc::new(Dictionary::new()),
             relations: BTreeMap::new(),
-            parallel: None,
             service: None,
             plan_cache: PlanCache::new(),
             compact_threshold: DEFAULT_COMPACT_THRESHOLD,
         }
     }
 
-    /// Opts every query executed against this catalog into the
-    /// partition-parallel engine with `cfg` (`None` reverts to
-    /// sequential). Applies to single queries and whole Datalog programs.
-    pub fn set_parallel(&mut self, cfg: Option<ExecConfig>) {
-        self.parallel = cfg;
-    }
-
-    /// The catalog-level parallel execution config, if any.
-    #[must_use]
-    pub fn parallel(&self) -> Option<&ExecConfig> {
-        self.parallel.as_ref()
-    }
-
     /// Routes every query executed against this catalog — text queries
     /// and whole Datalog programs alike — through `service`'s shared
-    /// worker pool (`None` reverts). Takes precedence over
-    /// [`Catalog::set_parallel`]: the service owns process-wide
-    /// parallelism, the per-call engine would fight it for cores.
+    /// worker pool (`None` reverts to inline evaluation on the calling
+    /// thread).
     pub fn set_service(&mut self, service: Option<Arc<Service>>) {
         self.service = service;
     }
@@ -168,17 +152,18 @@ impl Catalog {
 
     /// Registers (or replaces) a relation under `name`. Every insert —
     /// including a replace — stamps the relation with a fresh globally
-    /// unique base generation, invalidating any cached plan built over
-    /// the previous contents (the stale plan's key can never recur).
+    /// unique base generation; a replace evicts the cached plans built
+    /// over the previous contents (their keys can never recur).
     pub fn insert(&mut self, name: impl Into<String>, rel: Relation) {
-        self.relations.insert(
-            name.into(),
-            Stored {
-                delta: DeltaRelation::new(rel),
-                base_gen: next_generation(),
-                delta_ver: 0,
-            },
-        );
+        let name = name.into();
+        let stored = Stored {
+            delta: DeltaRelation::new(rel),
+            base_gen: next_generation(),
+            delta_ver: 0,
+        };
+        if let Some(old) = self.relations.insert(name.clone(), stored) {
+            self.evict_base(&name, old.base_gen);
+        }
     }
 
     /// Appends rows to `name`'s delta buffers. Rows already present are
@@ -241,17 +226,43 @@ impl Catalog {
             Metrics::get().deltas.inc();
         }
         if stored.delta.delta_len() >= self.compact_threshold {
-            Self::compact_stored(stored, self.service.as_deref());
+            Self::compact_stored(name, stored, self.service.as_deref(), &self.plan_cache);
         }
         Ok(Some(changed))
     }
 
     /// Unregisters `name`. Returns `true` iff it was present. Cached
-    /// plans over the removed relation age out of the LRU (their keys
-    /// can only recur if a relation with the same base generation is
+    /// plans over the removed relation are evicted (their keys could
+    /// only recur if a relation with the same base generation were
     /// re-registered, which the global stamp sequence rules out).
     pub fn remove(&mut self, name: &str) -> bool {
-        self.relations.remove(name).is_some()
+        let Some(old) = self.relations.remove(name) else {
+            return false;
+        };
+        self.evict_base(name, old.base_gen);
+        true
+    }
+
+    fn evict_base(&self, name: &str, generation: u64) {
+        Self::release_plans(
+            self.plan_cache.evict_base(name, generation),
+            self.service.as_deref(),
+        );
+    }
+
+    /// Frees evicted plans. Their indexes can take a millisecond or more
+    /// to free, and callers typically hold a catalog write lock that
+    /// every reader waits on, so with a service attached the pool frees
+    /// them instead.
+    fn release_plans(plans: Vec<CachedPlan>, service: Option<&Service>) {
+        match service {
+            Some(service) if !plans.is_empty() => {
+                // Fire and forget: the batch runs whether or not it is
+                // waited on.
+                let _ = service.run_tasks(vec![Box::new(move || drop(plans))]);
+            }
+            _ => drop(plans),
+        }
     }
 
     /// Folds `name`'s delta buffers into a fresh frozen base now,
@@ -259,14 +270,20 @@ impl Catalog {
     /// nothing to fold (or no such relation). Shard-parallel through
     /// the attached service's pool when one is set.
     pub fn compact(&mut self, name: &str) -> bool {
-        let service = self.service.clone();
         let Some(stored) = self.relations.get_mut(name) else {
             return false;
         };
-        Self::compact_stored(stored, service.as_deref())
+        Self::compact_stored(name, stored, self.service.as_deref(), &self.plan_cache)
     }
 
-    fn compact_stored(stored: &mut Stored, service: Option<&Service>) -> bool {
+    /// Folds `stored`'s buffers into a fresh base under a new base
+    /// generation, and evicts the cached plans keyed on the old one.
+    fn compact_stored(
+        name: &str,
+        stored: &mut Stored,
+        service: Option<&Service>,
+        plan_cache: &PlanCache,
+    ) -> bool {
         if stored.delta.delta_len() == 0 {
             return false;
         }
@@ -310,6 +327,7 @@ impl Catalog {
             _ => stored.delta.compact(),
         };
         if compacted {
+            Self::release_plans(plan_cache.evict_base(name, stored.base_gen), service);
             stored.base_gen = next_generation();
             stored.delta_ver = 0;
             Metrics::get().compactions.inc();

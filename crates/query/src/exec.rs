@@ -36,8 +36,7 @@ impl QueryResult {
 }
 
 /// A parsed query bound against a catalog: the cached prepared plan plus
-/// the head projection. Shared by the blocking ([`execute_profiled`]) and
-/// streaming ([`submit_query`]) execution paths.
+/// the head projection.
 struct Bound {
     plan: crate::plan_cache::CachedPlan,
     head_attrs: Vec<Attr>,
@@ -53,21 +52,37 @@ impl Bound {
 }
 
 /// Executes a parsed query against a catalog: §7.3 reduction per atom,
-/// worst-case-optimal join, projection onto the head.
+/// worst-case-optimal join, projection onto the head. Exactly
+/// `submit_query(q, catalog)?.collect()` — text queries and Datalog rules
+/// take the one [`submit_query`] route.
 ///
 /// # Errors
 /// Binding errors ([`QueryTextError::UnknownRelation`] /
 /// [`QueryTextError::ArityMismatch`] /
-/// [`QueryTextError::UnboundHeadVariable`]) or evaluation failures.
+/// [`QueryTextError::UnboundHeadVariable`]),
+/// [`QueryTextError::Overloaded`] when the catalog's service sheds the
+/// query, or evaluation failures.
 pub fn execute(q: &ParsedQuery, catalog: &Catalog) -> Result<QueryResult, QueryTextError> {
-    execute_profiled(q, catalog).map(|(result, _)| result)
+    submit_query(q, catalog)?.collect()
 }
 
-/// Name resolution + plan-cache lookup, shared by every execution path.
+/// [`execute`] plus the scheduler's per-query execution profile, read
+/// from the stream the query ran on. The profile is `Some` exactly when
+/// the catalog routes through an attached
+/// [`Service`](wcoj_service::Service) — inline evaluation has no
+/// scheduler to profile.
+///
+/// # Errors
+/// Same as [`execute`].
+pub fn execute_profiled(
+    q: &ParsedQuery,
+    catalog: &Catalog,
+) -> Result<(QueryResult, Option<wcoj_service::QueryProfile>), QueryTextError> {
+    submit_query(q, catalog)?.collect_profiled()
+}
+
+/// Name resolution + plan-cache lookup.
 fn bind(q: &ParsedQuery, catalog: &Catalog) -> Result<Bound, QueryTextError> {
-    // Using the text front-end implies both engines are linked; make
-    // Algorithm::NprrParallel dispatchable process-wide (idempotent).
-    wcoj_exec::install();
     // Variable name → id (= attribute id), in first-occurrence order.
     let mut var_names: Vec<String> = Vec::new();
     let var_id = |name: &str, var_names: &mut Vec<String>| -> u32 {
@@ -256,59 +271,6 @@ fn map_engine_error(e: wcoj_core::QueryError) -> QueryTextError {
     }
 }
 
-/// [`execute`] plus the scheduler's per-query execution profile. The
-/// profile is `Some` exactly when the catalog routes through an attached
-/// [`Service`](wcoj_service::Service) — the sequential and per-call
-/// parallel engines have no scheduler to profile.
-///
-/// # Errors
-/// Same as [`execute`].
-pub fn execute_profiled(
-    q: &ParsedQuery,
-    catalog: &Catalog,
-) -> Result<(QueryResult, Option<wcoj_service::QueryProfile>), QueryTextError> {
-    let bound = bind(q, catalog)?;
-
-    // The worst-case-optimal join over the cached plan — scheduled on the
-    // shared-pool service when one is attached, on the per-call
-    // partition-parallel engine when the catalog opted in, sequentially
-    // otherwise.
-    let mut profile = None;
-    let full = if let Some(service) = catalog.service() {
-        let (out, query_profile) = service
-            .submit(&bound.plan, &service.exec_config())
-            .map_err(wcoj_core::QueryError::from)
-            .and_then(wcoj_service::QueryHandle::wait_profiled)
-            .map_err(map_engine_error)?;
-        profile = Some(query_profile);
-        out.relation
-    } else if let Some(cfg) = catalog.parallel() {
-        wcoj_exec::par_join_prepared(&bound.plan, None, cfg)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    } else {
-        bound
-            .plan
-            .evaluate(None)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    };
-
-    // Project onto the head (identity for full queries).
-    let relation = if bound.identity() {
-        full
-    } else {
-        project(&full, &bound.head_attrs).map_err(|e| QueryTextError::Eval(e.to_string()))?
-    };
-    Ok((
-        QueryResult {
-            relation,
-            columns: bound.columns,
-        },
-        profile,
-    ))
-}
-
 /// The future of a [`submit_query`] submission: yields the result in
 /// per-slot batches as the shared pool settles them, instead of blocking
 /// for the full relation. The streaming transport behind the HTTP
@@ -427,13 +389,20 @@ impl PendingQuery {
         }
     }
 
-    /// Drains every remaining batch into a single [`QueryResult`] —
-    /// the convergence point with [`execute`]: for a freshly submitted
-    /// query, `submit_query(q, c)?.collect()` equals `execute(q, c)`.
+    /// Drains every remaining batch into a single [`QueryResult`] — for a
+    /// freshly submitted query, exactly what [`execute`] returns.
     ///
     /// # Errors
     /// Same as [`next_batch`](PendingQuery::next_batch).
-    pub fn collect(mut self) -> Result<QueryResult, QueryTextError> {
+    pub fn collect(self) -> Result<QueryResult, QueryTextError> {
+        self.collect_profiled().map(|(result, _)| result)
+    }
+
+    /// [`collect`](PendingQuery::collect) plus the final profile of the
+    /// service query behind the stream (`None` for inline evaluation).
+    fn collect_profiled(
+        mut self,
+    ) -> Result<(QueryResult, Option<wcoj_service::QueryProfile>), QueryTextError> {
         let mut merged: Option<Relation> = None;
         while let Some(batch) = self.next_batch() {
             let batch = batch?;
@@ -458,20 +427,27 @@ impl PendingQuery {
                     .collect::<wcoj_storage::Schema>(),
             )
         });
-        Ok(QueryResult {
-            relation,
-            columns: self.columns.clone(),
-        })
+        let profile = match &self.inner {
+            PendingInner::Stream(stream) => Some(stream.profile()),
+            PendingInner::Ready(..) => None,
+        };
+        Ok((
+            QueryResult {
+                relation,
+                columns: self.columns.clone(),
+            },
+            profile,
+        ))
     }
 }
 
-/// Submits a parsed query for **streaming** execution: binds it against
-/// the catalog (same plan cache as [`execute`]), schedules it on the
-/// attached [`Service`](wcoj_service::Service) when there is one, and
-/// returns a [`PendingQuery`] yielding the result in per-slot batches as
-/// the pool settles them. Without a service the query is evaluated
-/// eagerly (per-call parallel or sequential) and the pending query holds
-/// one ready batch.
+/// Submits a parsed query for **streaming** execution — the one route
+/// every text query and Datalog rule takes: binds it against the
+/// catalog's plan cache, schedules it on the attached
+/// [`Service`](wcoj_service::Service) when there is one, and returns a
+/// [`PendingQuery`] yielding the result in per-slot batches as the pool
+/// settles them. Without a service the query is evaluated inline on the
+/// calling thread and the pending query holds one ready batch.
 ///
 /// # Errors
 /// Binding errors, [`QueryTextError::Overloaded`] when admission sheds
@@ -493,17 +469,11 @@ pub fn submit_query(q: &ParsedQuery, catalog: &Catalog) -> Result<PendingQuery, 
             inner: PendingInner::Stream(stream),
         });
     }
-    let full = if let Some(cfg) = catalog.parallel() {
-        wcoj_exec::par_join_prepared(&bound.plan, None, cfg)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    } else {
-        bound
-            .plan
-            .evaluate(None)
-            .map_err(|e| QueryTextError::Eval(e.to_string()))?
-            .relation
-    };
+    let full = bound
+        .plan
+        .evaluate(None)
+        .map_err(|e| QueryTextError::Eval(e.to_string()))?
+        .relation;
     let relation = if identity {
         full
     } else {
@@ -612,35 +582,43 @@ mod tests {
         );
     }
 
+    /// A `workers`-worker service whose plans split down to one root
+    /// candidate per shard, so even the small test relations shard.
+    fn fine_grained_service(workers: usize) -> std::sync::Arc<wcoj_service::Service> {
+        use wcoj_service::{ExecConfig, Service, ServiceConfig};
+        std::sync::Arc::new(Service::new(ServiceConfig {
+            exec: ExecConfig {
+                shard_min_size: 1,
+                ..ExecConfig::default()
+            },
+            ..ServiceConfig::with_workers(workers)
+        }))
+    }
+
     #[test]
     fn parallel_catalog_matches_sequential() {
+        // The same catalog inline and sharded over pools of every size.
         let mut c = catalog_with_triangle();
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
         let seq = execute(&q, &c).unwrap();
-        for threads in [1, 2, 4, 8] {
-            c.set_parallel(Some(wcoj_exec::ExecConfig {
-                threads,
-                shard_min_size: 1,
-                ..wcoj_exec::ExecConfig::default()
-            }));
+        for workers in [1, 2, 4, 8] {
+            c.set_service(Some(fine_grained_service(workers)));
             let par = execute(&q, &c).unwrap();
-            assert_eq!(par.relation, seq.relation, "{threads} threads");
+            assert_eq!(par.relation, seq.relation, "{workers} workers");
             assert_eq!(par.columns, seq.columns);
         }
-        c.set_parallel(None);
+        c.set_service(None);
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
     }
 
     #[test]
-    fn service_catalog_matches_sequential_and_wins_over_parallel() {
+    fn service_catalog_matches_inline() {
         use std::sync::Arc;
         use wcoj_service::{Service, ServiceConfig};
         let mut c = catalog_with_triangle();
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
         let seq = execute(&q, &c).unwrap();
         let service = Arc::new(Service::new(ServiceConfig::with_workers(3)));
-        // service set alongside parallel: the service takes precedence
-        c.set_parallel(Some(wcoj_exec::ExecConfig::with_threads(2)));
         c.set_service(Some(Arc::clone(&service)));
         for _ in 0..4 {
             let out = execute(&q, &c).unwrap();
@@ -649,19 +627,18 @@ mod tests {
         }
         assert_eq!(service.submitted(), 4, "all queries routed to the pool");
         c.set_service(None);
-        c.set_parallel(None);
         assert_eq!(execute(&q, &c).unwrap().relation, seq.relation);
+        assert_eq!(service.submitted(), 4, "detached: inline again");
     }
 
     #[test]
     fn hot_key_workload_through_catalog_routes() {
-        // A single-hot-key workload through both catalog routes: the
-        // per-call parallel engine and the shared service pool. The
-        // intra-value sub-shard planner sits under both; outputs must be
-        // bit-identical to the sequential run, and WCOJ_HEAVY_SPLIT-style
-        // factor overrides (via ExecConfig) must not change them.
+        // A single-hot-key workload inline and through the shared service
+        // pool, with the intra-value sub-shard planner on and off: outputs
+        // must be bit-identical to the inline run whatever the
+        // heavy_split_factor.
         use std::sync::Arc;
-        use wcoj_service::{Service, ServiceConfig};
+        use wcoj_service::{ExecConfig, Service, ServiceConfig};
         let rels = wcoj_datagen::hot_key_triangle(17, 64, 4);
         let mut c = Catalog::new();
         for (name, rel) in ["R", "S", "T"].iter().zip(rels) {
@@ -670,21 +647,18 @@ mod tests {
         let q = parse_query("Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).").unwrap();
         let seq = execute(&q, &c).unwrap();
         for factor in [0usize, 1, 8] {
-            c.set_parallel(Some(wcoj_exec::ExecConfig {
-                threads: 4,
-                shard_min_size: 1,
-                heavy_split_factor: factor,
-                ..wcoj_exec::ExecConfig::default()
+            let service = Arc::new(Service::new(ServiceConfig {
+                exec: ExecConfig {
+                    shard_min_size: 1,
+                    heavy_split_factor: factor,
+                },
+                ..ServiceConfig::with_workers(4)
             }));
-            let par = execute(&q, &c).unwrap();
-            assert_eq!(par.relation, seq.relation, "parallel, factor {factor}");
+            c.set_service(Some(Arc::clone(&service)));
+            let pooled = execute(&q, &c).unwrap();
+            assert_eq!(pooled.relation, seq.relation, "service, factor {factor}");
+            assert_eq!(service.submitted(), 1);
         }
-        c.set_parallel(None);
-        let service = Arc::new(Service::new(ServiceConfig::with_workers(4)));
-        c.set_service(Some(Arc::clone(&service)));
-        let pooled = execute(&q, &c).unwrap();
-        assert_eq!(pooled.relation, seq.relation, "service route");
-        assert_eq!(service.submitted(), 1);
     }
 
     #[test]
@@ -876,6 +850,50 @@ mod tests {
     }
 
     #[test]
+    fn base_drift_evicts_superseded_plans() {
+        // Compactions, replaces and removals give a relation a new base
+        // generation; the plans keyed on the old one can never be served
+        // to this catalog again and must not stay resident.
+        let mut c = catalog_with_triangle();
+        c.set_compact_threshold(usize::MAX);
+        let shapes: Vec<ParsedQuery> = [
+            "Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).",
+            "Ans(y) :- R(1, y)",
+            "Ans(x, z) :- R(x, y), S(y, z).",
+        ]
+        .iter()
+        .map(|q| parse_query(q).unwrap())
+        .collect();
+        for k in 0..6u64 {
+            for q in &shapes {
+                execute(q, &c).unwrap();
+            }
+            assert_eq!(c.plan_cache().len(), shapes.len(), "after {k} compactions");
+            c.insert_rows("R", &[vec![Value(100 + k), Value(2)]])
+                .unwrap();
+            c.insert_rows("S", &[vec![Value(2), Value(100 + k)]])
+                .unwrap();
+            assert!(c.compact("R"));
+            assert_eq!(c.plan_cache().len(), 0, "every shape reads R");
+            assert!(c.compact("S"));
+        }
+        let (_, misses) = c.plan_cache_stats();
+        assert_eq!(misses, 6 * shapes.len() as u64, "evicted shapes rebuild");
+        for q in &shapes {
+            execute(q, &c).unwrap();
+        }
+        // A replace evicts the plans over the old contents only.
+        c.insert(
+            "T",
+            Relation::from_u32_rows(Schema::of(&[0, 1]), &[&[1, 4]]),
+        );
+        assert_eq!(c.plan_cache().len(), 2, "only the triangle reads T");
+        // So does a removal.
+        assert!(c.remove("R"));
+        assert!(c.plan_cache().is_empty());
+    }
+
+    #[test]
     fn constants_see_delta_mutations() {
         // Constant selections reduce the buffers per-atom; make sure the
         // reduced delta components line up with the reduced base.
@@ -905,40 +923,154 @@ mod tests {
         assert_eq!(clone.plan_cache_stats(), (1, 1));
     }
 
+    /// Independent oracle for a parsed query: binds every atom with a
+    /// plain row filter (constants, repeated variables) instead of the
+    /// §7.3 reduction, joins with the reference pairwise
+    /// `Algorithm::Naive` instead of NPRR, and projects onto the head.
+    fn oracle(q: &ParsedQuery, c: &Catalog) -> Relation {
+        fn var_id(vars: &mut Vec<String>, name: &str) -> u32 {
+            if let Some(i) = vars.iter().position(|v| v == name) {
+                return i as u32;
+            }
+            vars.push(name.to_owned());
+            (vars.len() - 1) as u32
+        }
+        let mut vars: Vec<String> = Vec::new();
+        let mut atoms = Vec::new();
+        for atom in &q.atoms {
+            // Ok(variable id) or Err(constant)
+            let terms: Vec<Result<u32, Value>> = atom
+                .terms
+                .iter()
+                .map(|t| match t {
+                    ParsedTerm::Var(v) => Ok(var_id(&mut vars, v)),
+                    ParsedTerm::Int(n) => Err(c.dictionary().encode(&Datum::Int(*n))),
+                    ParsedTerm::Str(s) => Err(c.dictionary().encode_str(s)),
+                })
+                .collect();
+            let mut distinct: Vec<u32> = Vec::new();
+            for &t in terms.iter().flatten() {
+                if !distinct.contains(&t) {
+                    distinct.push(t);
+                }
+            }
+            let mut rel = Relation::empty(Schema::of(&distinct));
+            'rows: for row in c.get(&atom.relation).unwrap().iter_rows() {
+                let mut bound: Vec<Option<Value>> = vec![None; distinct.len()];
+                for (t, &v) in terms.iter().zip(row) {
+                    match *t {
+                        Err(k) if k != v => continue 'rows,
+                        Err(_) => {}
+                        Ok(a) => {
+                            let slot = &mut bound[distinct.iter().position(|&d| d == a).unwrap()];
+                            if slot.is_some_and(|b| b != v) {
+                                continue 'rows;
+                            }
+                            *slot = Some(v);
+                        }
+                    }
+                }
+                let row: Vec<Value> = bound.into_iter().map(Option::unwrap).collect();
+                rel.push_row(&row).unwrap();
+            }
+            rel.sort_dedup();
+            atoms.push(rel);
+        }
+        let head: Vec<Attr> = q
+            .head_vars
+            .iter()
+            .map(|h| Attr(var_id(&mut vars, h)))
+            .collect();
+        let joined = wcoj_core::join_with(&atoms, wcoj_core::Algorithm::Naive, None)
+            .unwrap()
+            .relation;
+        project(&joined, &head).unwrap()
+    }
+
     #[test]
-    fn submit_query_collect_matches_execute_on_every_route() {
-        use std::sync::Arc;
-        use wcoj_service::{Service, ServiceConfig};
-        let mut c = catalog_with_triangle();
-        for q in [
+    fn one_route_matches_an_independent_oracle() {
+        // Text queries and a two-rule Datalog program, inline and on
+        // pools of 1/2/4 workers: every result equals the naive oracle
+        // exactly (rows, row order, columns), and a profile is reported
+        // exactly on the service route.
+        let build = || {
+            let mut c = catalog_with_triangle();
+            c.insert("E", wcoj_datagen::random_relation(23, &[0, 1], 160, 14));
+            c
+        };
+        let queries = [
+            // full
             "Ans(x, y, z) :- R(x, y), S(y, z), T(x, z).",
+            // projected, reordered head
             "Ans(z, x) :- R(x, y), S(y, z), T(x, z).",
+            // constants and a repeated variable
+            "Ans(y, z) :- E(3, y), E(y, z), E(z, z).",
             "Ans(y) :- R(1, y)",
-        ] {
-            let q = parse_query(q).unwrap();
-            let expected = execute(&q, &c).unwrap();
+            // self-joins
+            "Ans(x, y, z) :- E(x, y), E(y, z), E(x, z).",
+            "Ans(x, y) :- E(x, y), E(y, x).",
+        ];
+        let program = crate::parse_program(
+            "wedge(x, y, z) :- E(x, y), E(y, z).\n\
+             tri(x, y, z) :- wedge(x, y, z), E(x, z).",
+        )
+        .unwrap();
+        let reference = build();
+        let expected: Vec<Relation> = queries
+            .iter()
+            .map(|q| oracle(&parse_query(q).unwrap(), &reference))
+            .collect();
+        assert!(
+            expected.iter().all(|r| !r.is_empty()),
+            "non-vacuous instances"
+        );
+        // The program's oracle, rule by rule, with each derived relation
+        // registered (as run_program does) before the next rule reads it.
+        let mut derived = build();
+        let mut expected_program = Vec::new();
+        for rule in &program.rules {
+            let out = oracle(rule, &derived);
+            let mut rel = Relation::empty(Schema::of(&(0..out.arity() as u32).collect::<Vec<_>>()));
+            for row in out.iter_rows() {
+                rel.push_row(row).unwrap();
+            }
+            derived.insert(rule.head_name.clone(), rel.clone());
+            expected_program.push(rel);
+        }
+        assert!(
+            !expected_program[1].is_empty(),
+            "the program derives triangles"
+        );
 
-            // sequential (eager) route
-            let pending = crate::submit_query(&q, &c).unwrap();
-            assert!(pending.incremental(), "eager results are one final batch");
-            assert_eq!(pending.columns(), expected.columns.as_slice());
-            let got = pending.collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            assert_eq!(got.columns, expected.columns);
-
-            // per-call parallel route
-            c.set_parallel(Some(wcoj_exec::ExecConfig::with_threads(2)));
-            let got = crate::submit_query(&q, &c).unwrap().collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            c.set_parallel(None);
-
-            // service route
-            let service = Arc::new(Service::new(ServiceConfig::with_workers(2)));
-            c.set_service(Some(Arc::clone(&service)));
-            let got = crate::submit_query(&q, &c).unwrap().collect().unwrap();
-            assert_eq!(got.relation, expected.relation);
-            assert_eq!(got.columns, expected.columns);
-            c.set_service(None);
+        for workers in [0usize, 1, 2, 4] {
+            let route = if workers == 0 {
+                "inline".to_owned()
+            } else {
+                format!("service @ {workers} workers")
+            };
+            let mut c = build();
+            if workers > 0 {
+                c.set_service(Some(fine_grained_service(workers)));
+            }
+            for (text, want) in queries.iter().zip(&expected) {
+                let q = parse_query(text).unwrap();
+                let ctx = format!("{route}: {text}");
+                let got = execute(&q, &c).unwrap();
+                assert_eq!(&got.relation, want, "{ctx}");
+                assert_eq!(got.columns, q.head_vars, "{ctx}");
+                let (profiled, profile) = execute_profiled(&q, &c).unwrap();
+                assert_eq!(&profiled.relation, want, "{ctx}: execute_profiled");
+                assert_eq!(profile.is_some(), workers > 0, "{ctx}: profile");
+                if let Some(profile) = profile {
+                    assert!(profile.is_complete(), "{ctx}");
+                    assert!(profile.reassembled.is_some(), "{ctx}");
+                }
+            }
+            let outputs = crate::run_program(&program, &mut c).unwrap();
+            assert_eq!(outputs.len(), expected_program.len());
+            for ((name, got), want) in outputs.iter().zip(&expected_program) {
+                assert_eq!(&got.relation, want, "{route}: rule {name}");
+            }
         }
     }
 
@@ -947,20 +1079,11 @@ mod tests {
         // A single-atom full query over a service: identity projection +
         // canonical total order → incremental batches whose plain
         // concatenation is the final relation.
-        use std::sync::Arc;
-        use wcoj_service::{Service, ServiceConfig};
         let mut c = Catalog::new();
         c.insert("E", wcoj_datagen::random_relation(11, &[0, 1], 150, 14));
         // Per-shard minimum forced down so the 150-row root domain splits
         // into several slots — otherwise one shard = one batch.
-        let service = Arc::new(Service::new(ServiceConfig {
-            exec: wcoj_exec::ExecConfig {
-                shard_min_size: 1,
-                ..wcoj_exec::ExecConfig::default()
-            },
-            ..ServiceConfig::with_workers(3)
-        }));
-        c.set_service(Some(Arc::clone(&service)));
+        c.set_service(Some(fine_grained_service(3)));
         let q = parse_query("Ans(x, y) :- E(x, y).").unwrap();
         let expected = execute(&q, &c).unwrap();
 

@@ -39,7 +39,7 @@ pub(crate) mod test_support {
                 .expect("well-formed blocker"),
         );
         let (x, _) = prepared.resolve_cover(None).expect("cover");
-        let cfg = wcoj_exec::ExecConfig {
+        let cfg = wcoj_service::ExecConfig {
             shard_min_size: 1,
             ..service.exec_config()
         };
@@ -60,9 +60,6 @@ pub use exec::{execute, execute_profiled, submit_query, PendingQuery, QueryResul
 pub use parser::{parse_query, ParsedAtom, ParsedQuery, ParsedTerm};
 pub use plan_cache::{CachedPlan, PlanCache};
 pub use program::{parse_program, run_program, Program};
-// Re-export so front-end users can opt catalogs into parallel execution
-// without naming wcoj-exec directly.
-pub use wcoj_exec::ExecConfig;
 
 use std::fmt;
 

@@ -18,10 +18,12 @@
 //! never reach the same `(name, generation)` pair with different data.
 //! The cache distinguishes two kinds of staleness:
 //!
-//! * **Base drift** (replace / compaction) changes a relation's *base
-//!   generation*, hence the key itself: the stale entry can never be
-//!   served again and ages out of the LRU. This rebuilds everything —
-//!   reduction, LP, indexes.
+//! * **Base drift** (replace / compaction / removal) changes a relation's
+//!   *base generation*, hence the key itself: the stale entry can never
+//!   be served to the live catalog again, so the catalog evicts it at
+//!   once ([`PlanCache::evict_base`]) instead of letting dead plans hold
+//!   their indexes until the LRU reaches them. The next query rebuilds
+//!   everything — reduction, LP, indexes.
 //! * **Delta drift** (row appends / deletes) leaves the key intact but
 //!   changes the per-atom *delta versions* stored alongside the entry.
 //!   A lookup whose versions disagree keeps the entry's prepared shape —
@@ -46,7 +48,7 @@ use wcoj_obs::Counter;
 use wcoj_storage::DeltaIndex;
 
 /// Upper bound on cached plans; past it the least-recently-used entry is
-/// evicted (stale generations age out this way too).
+/// evicted.
 const CAPACITY: usize = 64;
 
 /// Process-wide generation stamps for catalog versions. Monotone and
@@ -238,6 +240,30 @@ impl PlanCache {
         Ok(plan)
     }
 
+    /// Removes every entry whose key contains the whole segment
+    /// `name@generation(`: the plans built over a base that a replace,
+    /// compaction or removal has just superseded. A query bound to a
+    /// snapshot that still holds that base simply rebuilds (a miss).
+    /// Returns the evicted plans: freeing their indexes takes a while,
+    /// so the caller chooses where that happens (never under the cache
+    /// mutex).
+    #[must_use]
+    pub fn evict_base(&self, name: &str, generation: u64) -> Vec<CachedPlan> {
+        let segment = format!("{name}@{generation}(");
+        let inner_segment = format!(";{segment}");
+        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let keys: Vec<String> = inner
+            .entries
+            .keys()
+            .filter(|k| k.starts_with(&segment) || k.contains(&inner_segment))
+            .cloned()
+            .collect();
+        keys.iter()
+            .filter_map(|k| inner.entries.remove(k))
+            .map(|entry| entry.plan)
+            .collect()
+    }
+
     /// `(hits, misses)` accumulated by this cache (shared across catalog
     /// clones holding the same `Arc`). Delta refreshes are counted
     /// separately — see [`PlanCache::refreshes`].
@@ -346,6 +372,30 @@ mod tests {
             .get_or_build("k0", || panic!("just re-inserted"))
             .unwrap();
         assert_eq!(cache.stats().0, hits_before + 2);
+    }
+
+    #[test]
+    fn evict_base_drops_whole_segments_only() {
+        let cache = PlanCache::new();
+        for key in [
+            "R@5(?0,?1);",
+            "S@6(?0,?1);R@5(?1,?2);",
+            "XR@5(?0,?1);",
+            "R@50(?0,?1);",
+            "R@7(?0,=5);",
+        ] {
+            cache.get_or_build(key, || Ok(plan())).unwrap();
+        }
+        assert_eq!(cache.evict_base("R", 5).len(), 2);
+        assert_eq!(cache.len(), 3, "XR@5, R@50 and R@7 are other segments");
+        for key in ["XR@5(?0,?1);", "R@50(?0,?1);", "R@7(?0,=5);"] {
+            cache.get_or_build(key, || panic!("{key} kept")).unwrap();
+        }
+        assert!(cache.evict_base("R", 5).is_empty(), "nothing left to drop");
+        // an evicted shape rebuilds: a miss, not a stale hit
+        let (_, misses) = cache.stats();
+        cache.get_or_build("R@5(?0,?1);", || Ok(plan())).unwrap();
+        assert_eq!(cache.stats().1, misses + 1);
     }
 
     #[test]

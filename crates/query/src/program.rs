@@ -199,17 +199,23 @@ mod tests {
         .unwrap();
         let mut seq_cat = edge_catalog();
         let seq = run_program(&p, &mut seq_cat).unwrap();
-        let mut par_cat = edge_catalog();
-        par_cat.set_parallel(Some(wcoj_exec::ExecConfig {
-            threads: 4,
-            shard_min_size: 1,
-            ..wcoj_exec::ExecConfig::default()
-        }));
-        let par = run_program(&p, &mut par_cat).unwrap();
-        assert_eq!(seq.len(), par.len());
-        for ((n1, r1), (n2, r2)) in seq.iter().zip(&par) {
-            assert_eq!(n1, n2);
-            assert_eq!(r1.relation, r2.relation, "rule {n1}");
+        // Shards down to one root candidate each, on pools of every size.
+        for workers in [1, 2, 4] {
+            let service = wcoj_service::Service::new(wcoj_service::ServiceConfig {
+                exec: wcoj_service::ExecConfig {
+                    shard_min_size: 1,
+                    ..wcoj_service::ExecConfig::default()
+                },
+                ..wcoj_service::ServiceConfig::with_workers(workers)
+            });
+            let mut par_cat = edge_catalog();
+            par_cat.set_service(Some(std::sync::Arc::new(service)));
+            let par = run_program(&p, &mut par_cat).unwrap();
+            assert_eq!(seq.len(), par.len());
+            for ((n1, r1), (n2, r2)) in seq.iter().zip(&par) {
+                assert_eq!(n1, n2);
+                assert_eq!(r1.relation, r2.relation, "rule {n1}, {workers} workers");
+            }
         }
     }
 

@@ -1,7 +1,7 @@
 //! Server configuration, wired through the workspace's `WCOJ_*`
 //! environment pattern: malformed values warn **once** per key on stderr,
 //! fall back to the default, and are recorded in
-//! [`wcoj_exec::malformed_env_warnings`] so a typo never silently
+//! [`wcoj_obs::env::malformed_env_warnings`] so a typo never silently
 //! reverts a deployment to defaults with no signal.
 
 use std::net::SocketAddr;
@@ -80,26 +80,26 @@ impl ServerConfig {
         if let Ok(raw) = std::env::var("WCOJ_BIND") {
             match raw.trim().parse::<SocketAddr>() {
                 Ok(addr) => cfg.bind = addr,
-                Err(_) => wcoj_exec::note_malformed_env(
+                Err(_) => wcoj_obs::env::note_malformed_env(
                     "WCOJ_BIND",
                     &format!("value {raw:?} is not a socket address (host:port)"),
                 ),
             }
         }
-        if let Some(n) = wcoj_exec::read_env_usize("WCOJ_CONN_THREADS") {
+        if let Some(n) = wcoj_obs::env::read_env_usize("WCOJ_CONN_THREADS") {
             cfg.conn_threads = n.max(1);
         }
-        if let Some(ms) = wcoj_exec::read_env_usize("WCOJ_READ_TIMEOUT_MS") {
+        if let Some(ms) = wcoj_obs::env::read_env_usize("WCOJ_READ_TIMEOUT_MS") {
             cfg.read_timeout = if ms == 0 {
                 None
             } else {
                 Some(Duration::from_millis(ms as u64))
             };
         }
-        if let Some(n) = wcoj_exec::read_env_usize("WCOJ_KEEP_ALIVE_MAX") {
+        if let Some(n) = wcoj_obs::env::read_env_usize("WCOJ_KEEP_ALIVE_MAX") {
             cfg.keep_alive_max = n;
         }
-        if let Some(ms) = wcoj_exec::read_env_usize("WCOJ_IDLE_TIMEOUT_MS") {
+        if let Some(ms) = wcoj_obs::env::read_env_usize("WCOJ_IDLE_TIMEOUT_MS") {
             cfg.idle_timeout = if ms == 0 {
                 None
             } else {
@@ -151,7 +151,7 @@ mod tests {
         let cfg = ServerConfig::from_env();
         assert_eq!(cfg.bind, DEFAULT_BIND.parse().unwrap());
         assert_eq!(cfg.conn_threads, 4);
-        let warned = wcoj_exec::malformed_env_warnings();
+        let warned = wcoj_obs::env::malformed_env_warnings();
         assert!(warned.iter().any(|k| k == "WCOJ_BIND"), "{warned:?}");
         assert!(
             warned.iter().any(|k| k == "WCOJ_CONN_THREADS"),
@@ -159,7 +159,7 @@ mod tests {
         );
         // Warn-once: a second malformed read adds no duplicate entry.
         let _ = ServerConfig::from_env();
-        let again = wcoj_exec::malformed_env_warnings();
+        let again = wcoj_obs::env::malformed_env_warnings();
         assert_eq!(
             again.iter().filter(|k| *k == "WCOJ_BIND").count(),
             1,

@@ -12,7 +12,7 @@ fn main() {
                 "wcoj-server listening on http://{} ({threads} connection threads)",
                 server.addr()
             );
-            for warned in wcoj_exec::malformed_env_warnings() {
+            for warned in wcoj_obs::env::malformed_env_warnings() {
                 eprintln!("note: malformed env var {warned} fell back to its default");
             }
             loop {

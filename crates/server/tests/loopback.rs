@@ -136,9 +136,9 @@ fn small_caps_server() -> Server {
 /// root slots (the incremental-streaming and cancellation scenarios).
 fn streaming_server(queue_depth: usize) -> (Server, Arc<Service>) {
     let service = Arc::new(Service::new(ServiceConfig {
-        exec: wcoj_exec::ExecConfig {
+        exec: wcoj_service::ExecConfig {
             shard_min_size: 1,
-            ..wcoj_exec::ExecConfig::default()
+            ..wcoj_service::ExecConfig::default()
         },
         queue_depth,
         ..ServiceConfig::with_workers(1)

@@ -1,14 +1,12 @@
-//! # wcoj-service — shared-pool concurrent query scheduler
+//! # wcoj-service — the parallel runtime: one shared worker pool
 //!
-//! `wcoj-exec` parallelises a *single* join by sharding the root domain
-//! of `Recursive-Join` (paper §5.2, step 2a) over a scoped thread pool —
-//! but every `par_join` call spins up its **own** pool, so a process
-//! answering many concurrent queries oversubscribes the machine and loses
-//! the worst-case-optimal runtime guarantees to scheduling noise.
-//!
-//! This crate is the long-lived alternative: a [`Service`] owns **one**
-//! global worker pool for the whole process, and schedules shard tasks
-//! from *many* in-flight queries on it.
+//! Sub-joins of `Recursive-Join` (paper §5.2, step 2a) for disjoint
+//! ranges of the root attribute are independent, so one join can be
+//! sharded over many workers ([`plan`]). A query service must also keep
+//! *many* concurrent queries from oversubscribing the machine. A
+//! [`Service`] therefore owns **one** worker pool for the whole process
+//! and schedules the shard tasks of every in-flight query on it; it is
+//! the only parallel runtime in the workspace.
 //!
 //! * [`Service::submit`] plans a prepared query's shards with the
 //!   work-based splitter ([`ShardPlan::plan`] over
@@ -102,9 +100,12 @@ use std::time::{Duration, Instant};
 
 use wcoj_core::nprr::{PreparedQuery, RootShard};
 use wcoj_core::{JoinOutput, JoinStats, QueryError};
-use wcoj_exec::{ExecConfig, ShardPlan, OVERSPLIT};
 use wcoj_obs::{trace, Counter, Gauge, Histogram, TraceEvent, TraceLevel};
 use wcoj_storage::{Relation, SearchTree, TrieIndex, Value};
+
+pub mod plan;
+
+pub use plan::{ExecConfig, ShardPlan, OVERSPLIT};
 
 /// Stats label reported by service-scheduled runs.
 const ALGORITHM: &str = "nprr-service";
@@ -112,15 +113,14 @@ const ALGORITHM: &str = "nprr-service";
 /// Configuration of a [`Service`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServiceConfig {
-    /// Worker threads in the shared pool (clamped to ≥ 1). Unlike
-    /// `par_join`, this bounds the parallelism of the whole process, not
-    /// of one query.
+    /// Worker threads in the shared pool (clamped to ≥ 1). This bounds
+    /// the parallelism of the whole process, not of one query.
     pub workers: usize,
     /// Default per-query planning knobs handed to queries routed through
     /// [`Service::join`] (and recommended for [`Service::submit`] via
-    /// [`Service::exec_config`]). The `threads` field is ignored — pool
-    /// size is a service-level decision; `shard_min_size` and `split`
-    /// steer the per-query [`ShardPlan`].
+    /// [`Service::exec_config`]): `shard_min_size` and
+    /// `heavy_split_factor` steer the per-query [`ShardPlan`], whose
+    /// sizing target is `workers × OVERSPLIT` shards.
     pub exec: ExecConfig,
     /// Admission bound: the maximum number of queries that may be
     /// admitted-but-unfinished (queued or running) at once. `0` (the
@@ -182,19 +182,19 @@ impl ServiceConfig {
     /// Default config with the admission bound overridden by the
     /// `WCOJ_QUEUE_DEPTH` environment variable when set (malformed values
     /// warn once and fall back, like every numeric `WCOJ_*` knob — see
-    /// [`wcoj_exec::read_env_usize`]). Also applies `WCOJ_TRACE`
+    /// [`wcoj_obs::env::read_env_usize`]). Also applies `WCOJ_TRACE`
     /// (`off`/`summary`/`verbose`, same warn-once fallback —
-    /// [`wcoj_exec::trace_level_from_env`]) to the process-wide
+    /// [`wcoj_obs::env::trace_level_from_env`]) to the process-wide
     /// [`wcoj_obs::trace`] ring: the trace level is global state, not a
     /// per-service knob, and this is the one env-driven construction
     /// point.
     #[must_use]
     pub fn from_env() -> ServiceConfig {
         let mut cfg = ServiceConfig::default();
-        if let Some(d) = wcoj_exec::read_env_usize("WCOJ_QUEUE_DEPTH") {
+        if let Some(d) = wcoj_obs::env::read_env_usize("WCOJ_QUEUE_DEPTH") {
             cfg.queue_depth = d;
         }
-        if let Some(level) = wcoj_exec::trace_level_from_env() {
+        if let Some(level) = wcoj_obs::env::trace_level_from_env() {
             trace().set_level(level);
         }
         cfg
@@ -394,7 +394,8 @@ pub struct QueryProfile {
     /// lifecycle clock.
     pub last_finish: Option<Duration>,
     /// Submit → output reassembled (slot-order merge done). `None` until
-    /// `wait()`; degenerate queries reassemble at submit time.
+    /// `wait()`, or until a [`RowStream`] has yielded its last batch;
+    /// degenerate queries reassemble at submit time.
     pub reassembled: Option<Duration>,
     /// Tasks the shard plan scheduled (0 for degenerate queries).
     pub total_shards: usize,
@@ -939,7 +940,7 @@ impl QueryHandle {
     pub fn into_stream(mut self) -> RowStream {
         match self.inner.take().expect("handle consumed exactly once") {
             HandleInner::Ready(ready) => RowStream {
-                inner: StreamInner::Ready(Some(ready.0)),
+                inner: StreamInner::Ready(Box::new((Some(ready.0), ready.1))),
                 next_slot: 0,
                 total_slots: 1,
                 ordered: true,
@@ -1018,8 +1019,10 @@ pub struct RowBatch {
 }
 
 enum StreamInner {
-    /// Degenerate submit-time resolution: one synthetic batch.
-    Ready(Option<Result<JoinOutput, QueryError>>),
+    /// Degenerate submit-time resolution: one synthetic batch, plus the
+    /// profile the handle resolved with. Boxed like
+    /// [`HandleInner::Ready`].
+    Ready(Box<(Option<Result<JoinOutput, QueryError>>, QueryProfile)>),
     Pending {
         state: Arc<JobState>,
         injector: Arc<Injector>,
@@ -1071,6 +1074,21 @@ impl RowStream {
         }
     }
 
+    /// A point-in-time [`QueryProfile`] snapshot, like
+    /// [`QueryHandle::profile`]. Once every batch has been yielded the
+    /// snapshot is complete, with `reassembled` marking the hand-off of
+    /// the last batch.
+    #[must_use]
+    pub fn profile(&self) -> QueryProfile {
+        match &self.inner {
+            StreamInner::Ready(ready) => ready.1.clone(),
+            StreamInner::Pending { state, profile, .. } => profile.snapshot(
+                state.cancelled.load(Ordering::Acquire),
+                state.remaining.load(Ordering::Acquire) == 0,
+            ),
+        }
+    }
+
     /// Blocks until **every** shard has drained (without consuming any
     /// batches) — the poll-with-block endpoint's primitive.
     pub fn wait_settled(&self) {
@@ -1096,15 +1114,20 @@ impl RowStream {
         }
         let slot = self.next_slot;
         match &mut self.inner {
-            StreamInner::Ready(result) => {
+            StreamInner::Ready(ready) => {
                 self.next_slot += 1;
-                let result = result.take().expect("ready batch yielded exactly once");
+                let result = ready.0.take().expect("ready batch yielded exactly once");
                 Some(result.map(|out| RowBatch {
                     slot,
                     relation: out.relation,
                 }))
             }
-            StreamInner::Pending { state, convert, .. } => {
+            StreamInner::Pending {
+                state,
+                convert,
+                profile,
+                ..
+            } => {
                 let mut slots = state
                     .slots
                     .lock()
@@ -1124,7 +1147,15 @@ impl RowStream {
                 };
                 drop(slots);
                 self.next_slot += 1;
-                Some(convert(rows).map(|relation| RowBatch { slot, relation }))
+                let batch = convert(rows).map(|relation| RowBatch { slot, relation });
+                if self.next_slot == self.total_slots {
+                    // The consumer now holds every slot: the streaming
+                    // counterpart of `wait()`'s reassembly mark.
+                    profile
+                        .reassembled_ns
+                        .store(profile.elapsed_ns().max(1), Ordering::Release);
+                }
+                Some(batch)
             }
         }
     }
@@ -1339,8 +1370,7 @@ impl Service {
         TaskBatch { latch }
     }
 
-    /// The service's default per-query planning config (its `threads`
-    /// field is ignored by [`submit`](Service::submit)).
+    /// The service's default per-query planning config.
     #[must_use]
     pub fn exec_config(&self) -> ExecConfig {
         self.cfg.exec.clone()
@@ -1777,12 +1807,13 @@ impl Service {
         })
     }
 
-    /// One-shot convenience: prepare `relations` with the default sorted
-    /// trie backend, submit with the service's default planning config,
-    /// and wait. This is the entry point `wcoj-query` routes catalog
-    /// queries through; under overload it surfaces
-    /// [`QueryError::Overloaded`] (the shed, not the blocking, policy —
-    /// a front end should answer 429 rather than stall its caller).
+    /// One-shot convenience for a plain relation list: prepare
+    /// `relations` with the default sorted trie backend, submit with the
+    /// service's default planning config, and wait. (Catalog queries take
+    /// [`Service::submit`] directly, over their cached preparations.)
+    /// Under overload it surfaces [`QueryError::Overloaded`] (the shed,
+    /// not the blocking, policy — a front end should answer 429 rather
+    /// than stall its caller).
     ///
     /// # Errors
     /// Same as [`PreparedQuery::new_indexed`] plus evaluation errors and
@@ -1792,23 +1823,6 @@ impl Service {
         self.submit(&prepared, &self.cfg.exec)
             .map_err(QueryError::from)?
             .wait()
-    }
-
-    /// [`Service::join`] plus the query's final [`QueryProfile`] — the
-    /// route `wcoj-query`'s `execute_profiled` uses so text-query callers
-    /// see per-shard execution breakdowns without touching the
-    /// prepare/submit API themselves.
-    ///
-    /// # Errors
-    /// Same as [`Service::join`].
-    pub fn join_profiled(
-        &self,
-        relations: &[Relation],
-    ) -> Result<(JoinOutput, QueryProfile), QueryError> {
-        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(relations)?);
-        self.submit(&prepared, &self.cfg.exec)
-            .map_err(QueryError::from)?
-            .wait_profiled()
     }
 }
 
@@ -2245,7 +2259,7 @@ mod tests {
         std::env::remove_var("WCOJ_QUEUE_DEPTH");
         assert_eq!(cfg.queue_depth, 0);
         assert!(
-            wcoj_exec::malformed_env_warnings()
+            wcoj_obs::env::malformed_env_warnings()
                 .iter()
                 .any(|k| k == "WCOJ_QUEUE_DEPTH"),
             "fallback is signalled, not silent"
@@ -2479,8 +2493,15 @@ mod tests {
     /// Scheduler decisions land in the global trace ring when the level
     /// is raised — filtered by this test's own query ids, because the
     /// ring is process-wide and other tests run concurrently.
+    /// Serialises the tests that raise the global trace level and drain
+    /// the ring, so neither drains the other's events.
+    static TRACE_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
     fn trace_ring_records_scheduler_decisions() {
+        let _trace = TRACE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         let ring = trace();
         let saved = ring.level();
         ring.set_level(TraceLevel::Summary);
@@ -2720,5 +2741,584 @@ mod tests {
             assert!(Instant::now() < deadline, "cancelled query never drained");
             std::thread::yield_now();
         }
+    }
+
+    #[test]
+    fn row_stream_profile_completes_on_last_batch() {
+        let service = Service::new(ServiceConfig::with_workers(2));
+        let prepared = Arc::new(
+            PreparedQuery::<TrieIndex>::new_indexed(&[
+                wcoj_datagen::random_relation(5, &[0, 1], 120, 12),
+                wcoj_datagen::random_relation(6, &[1, 2], 120, 12),
+                wcoj_datagen::random_relation(7, &[0, 2], 120, 12),
+            ])
+            .unwrap(),
+        );
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            ..service.exec_config()
+        };
+        let mut stream = service.submit(&prepared, &cfg).unwrap().into_stream();
+        assert!(stream.total_slots() > 1);
+        let mut rows = 0;
+        while let Some(batch) = stream.next_batch() {
+            assert!(
+                stream.profile().reassembled.is_none()
+                    || stream.slots_emitted() == stream.total_slots()
+            );
+            rows += batch.unwrap().relation.len() as u64;
+        }
+        let profile = stream.profile();
+        assert!(profile.is_complete());
+        assert_eq!(profile.total_shards, stream.total_slots());
+        assert!(profile.reassembled.is_some(), "last batch handed off");
+        assert_eq!(profile.total_rows(), rows);
+
+        // A submit-time resolution keeps the profile it resolved with.
+        let empty = Arc::new(
+            PreparedQuery::<TrieIndex>::new_indexed(&[
+                rel(&[0, 1], &[&[1, 2]]),
+                Relation::empty(Schema::of(&[1, 2])),
+            ])
+            .unwrap(),
+        );
+        let stream = service.submit(&empty, &cfg).unwrap().into_stream();
+        let profile = stream.profile();
+        assert_eq!(profile.total_shards, 0);
+        assert!(profile.reassembled.is_some());
+    }
+
+    // --- the shard planner (`plan`) -------------------------------------
+
+    use crate::plan::plan_weighted_shards_split;
+    use wcoj_core::JoinOutput;
+
+    /// The level-0 planner alone: intra-value splitting off.
+    fn plan_level0(weights: &[(Value, u64)], max_shards: usize, min_size: usize) -> Vec<RootShard> {
+        plan_weighted_shards_split(weights, max_shards, min_size, 1, |_| {
+            unreachable!("factor 1 never asks for an anchor slice")
+        })
+    }
+
+    /// A fresh `workers`-worker service runs `rels` under `cfg`.
+    fn service_join(rels: &[Relation], workers: usize, cfg: &ExecConfig) -> JoinOutput {
+        let service = Service::new(ServiceConfig::with_workers(workers));
+        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap());
+        service.submit(&prepared, cfg).unwrap().wait().unwrap()
+    }
+
+    fn assert_matches_sequential(rels: &[Relation], workers: usize, cfg: &ExecConfig, ctx: &str) {
+        let seq = join_with(rels, Algorithm::Nprr, None).unwrap();
+        let out = service_join(rels, workers, cfg);
+        assert_eq!(out.relation, seq.relation, "{ctx}");
+        assert_eq!(out.stats.algorithm_used, ALGORITHM, "{ctx}");
+    }
+
+    fn floor_one() -> ExecConfig {
+        ExecConfig {
+            shard_min_size: 1,
+            ..ExecConfig::default()
+        }
+    }
+
+    #[test]
+    fn plan_covers_domain_and_respects_floor() {
+        let weights: Vec<(Value, u64)> = (0..40u64).map(|i| (Value(i * 3), 1)).collect();
+        let plan = plan_level0(&weights, 4, 1);
+        assert_eq!(plan.len(), 4);
+        assert_eq!(plan[0].lo, Value(0));
+        assert_eq!(plan.last().unwrap().hi, Value(u64::MAX));
+        for w in plan.windows(2) {
+            assert_eq!(w[1].lo.0, w[0].hi.0 + 1, "gap-free");
+        }
+        // floor: 40 candidates at min 30 per shard → no useful split
+        assert!(plan_level0(&weights, 4, 30).is_empty());
+        assert!(plan_level0(&[], 4, 1).is_empty());
+        assert!(plan_level0(&weights, 1, 1).is_empty());
+    }
+
+    #[test]
+    fn weighted_plan_balances_work_and_isolates_heavy_keys() {
+        // 9 unit-weight candidates plus one hot key carrying most of the
+        // total work.
+        let mut weights: Vec<(Value, u64)> = (0..10u64).map(|i| (Value(i * 2), 1)).collect();
+        weights[4].1 = 100; // Value(8) is the heavy hitter
+        let plan = plan_level0(&weights, 4, 1);
+        assert!(plan.len() >= 3, "hot key plus its flanks: {plan:?}");
+        // covering and gap-free
+        assert_eq!(plan[0].lo, Value(0));
+        assert_eq!(plan.last().unwrap().hi, Value(u64::MAX));
+        for w in plan.windows(2) {
+            assert_eq!(w[1].lo.0, w[0].hi.0 + 1, "gap-free");
+        }
+        // the heavy candidate sits alone in its shard
+        let hot = plan
+            .iter()
+            .find(|s| s.contains(Value(8)))
+            .expect("some shard owns the hot key");
+        let owned: Vec<Value> = weights
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| hot.contains(v))
+            .collect();
+        assert_eq!(owned, vec![Value(8)], "hot key isolated: {plan:?}");
+
+        // uniform weights ≈ count-based chunks
+        let uniform: Vec<(Value, u64)> = (0..40u64).map(|i| (Value(i), 1)).collect();
+        let plan = plan_level0(&uniform, 4, 1);
+        assert_eq!(plan.len(), 4);
+
+        // degenerate inputs
+        assert!(plan_level0(&[], 4, 1).is_empty());
+        assert!(plan_level0(&uniform, 1, 1).is_empty());
+        assert!(plan_level0(&uniform, 4, 30).is_empty());
+    }
+
+    /// Every plan is a gap-free cover of root × anchor space: root ranges
+    /// tile `[0, u64::MAX]`, and within a run of sub-shards sharing a root
+    /// range the anchor ranges tile `[0, u64::MAX]` too.
+    fn assert_covers_domain(plan: &[RootShard], ctx: &str) {
+        assert!(!plan.is_empty(), "{ctx}");
+        assert_eq!(plan[0].lo, Value(0), "{ctx}");
+        assert_eq!(plan.last().unwrap().hi, Value(u64::MAX), "{ctx}");
+        let mut i = 0;
+        while i < plan.len() {
+            let s = plan[i];
+            let mut j = i + 1;
+            if s.anchor.is_some() {
+                let mut alo = 0u64;
+                while j < plan.len() && plan[j].lo == s.lo {
+                    j += 1;
+                }
+                assert!(j - i >= 2, "{ctx}: a sub-shard run has ≥ 2 entries");
+                for sub in &plan[i..j] {
+                    assert_eq!(sub.hi, s.hi, "{ctx}: run shares the root range");
+                    let a = sub.anchor.expect("run fully anchored");
+                    assert_eq!(a.lo.0, alo, "{ctx}: anchor gap-free");
+                    assert!(a.lo <= a.hi, "{ctx}: anchor range non-empty");
+                    alo = a.hi.0.wrapping_add(1);
+                }
+                assert_eq!(
+                    plan[j - 1].anchor.unwrap().hi,
+                    Value(u64::MAX),
+                    "{ctx}: anchor cover complete"
+                );
+            }
+            if j < plan.len() {
+                assert_eq!(
+                    plan[j].lo.0,
+                    s.hi.0.wrapping_add(1),
+                    "{ctx}: root ranges gap-free"
+                );
+            }
+            i = j;
+        }
+    }
+
+    #[test]
+    fn single_hot_key_splits_into_anchor_sub_shards() {
+        // A root domain of ONE candidate carrying all the work: a
+        // level-0-only planner has no parallelism to offer here at all.
+        let weights = vec![(Value(7), 1_000_000u64)];
+        let anchors: Vec<Value> = (0..100u64).map(|a| Value(a * 5)).collect();
+        let plan = plan_weighted_shards_split(&weights, 16, 16, 8, |v| {
+            assert_eq!(v, Value(7));
+            anchors.clone()
+        });
+        assert_eq!(plan.len(), 8, "hot key split heavy_split ways: {plan:?}");
+        assert_covers_domain(&plan, "single hot key");
+        for sub in &plan {
+            assert_eq!((sub.lo, sub.hi), (Value(0), Value(u64::MAX)));
+            assert!(sub.anchor.is_some());
+        }
+        // every anchor candidate lands in exactly one sub-shard
+        for &a in &anchors {
+            assert_eq!(
+                plan.iter().filter(|s| s.anchor_contains(a)).count(),
+                1,
+                "anchor {a:?} covered exactly once"
+            );
+        }
+        // factor ≤ 1 disables intra-value splitting entirely
+        for factor in [0, 1] {
+            let plan = plan_weighted_shards_split(&weights, 16, 16, factor, |_| anchors.clone());
+            assert!(plan.is_empty(), "factor {factor} plans level 0 only");
+        }
+        // a hot key with a single anchor candidate cannot be split
+        let plan = plan_weighted_shards_split(&weights, 16, 16, 8, |_| vec![Value(3)]);
+        assert!(plan.is_empty(), "one anchor candidate: nothing to split");
+    }
+
+    #[test]
+    fn hot_key_among_light_neighbours_gets_sub_shards() {
+        // 30 unit-weight candidates plus one dominating hot key.
+        let mut weights: Vec<(Value, u64)> = (0..31u64).map(|i| (Value(i * 2), 1)).collect();
+        weights[15].1 = 10_000; // Value(30) carries ~99.7% of the work
+        let plan = plan_weighted_shards_split(&weights, 16, 1, 8, |v| {
+            assert_eq!(v, Value(30), "only the hot key's slice is fetched");
+            (0..64u64).map(Value).collect()
+        });
+        assert_covers_domain(&plan, "hot key among light");
+        let subs: Vec<&RootShard> = plan.iter().filter(|s| s.anchor.is_some()).collect();
+        assert_eq!(subs.len(), 8, "{plan:?}");
+        for sub in &subs {
+            assert!(sub.contains(Value(30)));
+        }
+        // light neighbours are still grouped, not exploded
+        assert!(plan.len() <= 3 * 16 + 1, "{plan:?}");
+    }
+
+    #[test]
+    fn all_heavy_degenerate_plans_stay_bounded() {
+        // Adversarial weight shapes — all-heavy uniform (every candidate
+        // reaches the per-shard target, the 1-singleton-per-candidate
+        // shape), alternating hot/cold, and tiny totals that clamp the
+        // target to 1 — must never explode past the documented budgets:
+        // 2·max_shards+1 with intra-value splitting off (factor ≤ 1),
+        // 3·max_shards+1 with it on.
+        let anchors: Vec<Value> = (0..256u64).map(Value).collect();
+        for n in [2usize, 8, 40, 64, 300] {
+            let uniform: Vec<(Value, u64)> = (0..n).map(|i| (Value(i as u64 * 3), 1_000)).collect();
+            let alternating: Vec<(Value, u64)> = (0..n)
+                .map(|i| (Value(i as u64 * 3), if i % 2 == 0 { 1_000_000 } else { 1 }))
+                .collect();
+            let ones: Vec<(Value, u64)> = (0..n).map(|i| (Value(i as u64 * 3), 1)).collect();
+            for max_shards in [2usize, 4, 16, 256] {
+                for (shape, weights) in [
+                    ("uniform", &uniform),
+                    ("alt", &alternating),
+                    ("ones", &ones),
+                ] {
+                    let ctx = format!("{shape} n={n} max={max_shards}");
+                    for factor in [0usize, 1] {
+                        let plan =
+                            plan_weighted_shards_split(weights, max_shards, 1, factor, |_| {
+                                anchors.clone()
+                            });
+                        assert!(
+                            plan.len() <= 2 * max_shards + 1,
+                            "{ctx} factor={factor}: level-0 budget ({})",
+                            plan.len()
+                        );
+                        if !plan.is_empty() {
+                            assert_covers_domain(&plan, &ctx);
+                        }
+                    }
+                    for factor in [2usize, 8, 64, usize::MAX] {
+                        let plan =
+                            plan_weighted_shards_split(weights, max_shards, 1, factor, |_| {
+                                anchors.clone()
+                            });
+                        assert!(
+                            plan.len() <= 3 * max_shards + 1,
+                            "{ctx} factor={factor}: split budget ({})",
+                            plan.len()
+                        );
+                        if !plan.is_empty() {
+                            assert_covers_domain(&plan, &format!("{ctx} factor={factor}"));
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn near_max_weights_never_collapse_the_plan() {
+        // Adversarial weights close to u64::MAX: with wrapping arithmetic
+        // the total (and the per-shard target derived from it) would wrap
+        // to a tiny value, every candidate would look "heavy ≫ target",
+        // and degenerate shapes could fall out. Saturating accumulation
+        // keeps the plan a bounded, covering, multi-shard split.
+        let weights: Vec<(Value, u64)> = (0..8u64).map(|i| (Value(i * 10), u64::MAX - i)).collect();
+        for max_shards in [2usize, 4, 16] {
+            let plan = plan_level0(&weights, max_shards, 1);
+            assert!(
+                plan.len() >= 2,
+                "max={max_shards}: near-MAX weights still split ({plan:?})"
+            );
+            assert!(plan.len() <= 2 * max_shards + 1, "max={max_shards}");
+            assert_covers_domain(&plan, &format!("near-max max={max_shards}"));
+            let anchors: Vec<Value> = (0..64u64).map(Value).collect();
+            let split = plan_weighted_shards_split(&weights, max_shards, 1, 8, |_| anchors.clone());
+            assert!(split.len() >= 2, "max={max_shards}: split planner too");
+            assert!(split.len() <= 3 * max_shards + 1, "max={max_shards}");
+            assert_covers_domain(&split, &format!("near-max split max={max_shards}"));
+        }
+        // A single near-MAX candidate among unit weights is isolated, not
+        // wrapped into its neighbours.
+        let mut mixed: Vec<(Value, u64)> = (0..10u64).map(|i| (Value(i * 2), 1)).collect();
+        mixed[5].1 = u64::MAX;
+        let plan = plan_level0(&mixed, 4, 1);
+        let hot = plan
+            .iter()
+            .find(|s| s.contains(Value(10)))
+            .expect("some shard owns the near-MAX key");
+        let owned: Vec<Value> = mixed
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| hot.contains(v))
+            .collect();
+        assert_eq!(owned, vec![Value(10)], "near-MAX key isolated: {plan:?}");
+    }
+
+    #[test]
+    fn heavy_split_planning_is_traced() {
+        // hot_key_triangle concentrates the root domain on one value, so a
+        // plan with splitting enabled must sub-split it — and, with
+        // tracing at summary, record that decision. The global ring is
+        // shared across tests; filter for our own event shape instead of
+        // expecting exclusive ownership.
+        let _trace = TRACE_LOCK
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        let rels = wcoj_datagen::hot_key_triangle(23, 96, 2);
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let cfg = ExecConfig {
+            shard_min_size: 1,
+            heavy_split_factor: 4,
+        };
+        let ring = trace();
+        let level_before = ring.level();
+        ring.set_level(TraceLevel::Summary);
+        let plan = ShardPlan::plan(&prepared, 8, &cfg);
+        let events = ring.drain();
+        ring.set_level(level_before);
+        let planned_subs = plan.shards().iter().filter(|s| s.anchor.is_some()).count();
+        assert!(planned_subs >= 2, "hot key sub-split: {plan:?}");
+        assert!(
+            events.iter().any(|e| matches!(
+                e,
+                TraceEvent::HeavySplit { values, sub_shards }
+                    if *values >= 1 && *sub_shards as usize == planned_subs
+            )),
+            "heavy-split decision traced: {events:?}"
+        );
+        // with tracing off, planning records nothing
+        let before = ring.len();
+        let _ = ShardPlan::plan(&prepared, 8, &cfg);
+        assert_eq!(ring.len(), before, "Off level records nothing");
+    }
+
+    // --- one-query parallel runs on the pool ------------------------------
+
+    #[test]
+    fn both_split_strategies_match_sequential_on_skew() {
+        // Zipf-skewed triangle under both planner strategies — heavy keys
+        // isolated only (factor 0) and heavy keys sub-split (the default):
+        // the plans differ, the output must not.
+        let rels = [
+            wcoj_datagen::zipf_relation(77, &[0, 1], 200, 24, 1.3),
+            wcoj_datagen::zipf_relation(78, &[1, 2], 200, 24, 1.3),
+            wcoj_datagen::zipf_relation(79, &[0, 2], 200, 24, 1.3),
+        ];
+        for heavy_split_factor in [0, plan::HEAVY_SPLIT_DEFAULT] {
+            let cfg = ExecConfig {
+                shard_min_size: 1,
+                heavy_split_factor,
+            };
+            assert_matches_sequential(
+                &rels,
+                4,
+                &cfg,
+                &format!("skewed triangle, factor {heavy_split_factor}"),
+            );
+        }
+    }
+
+    #[test]
+    fn hot_key_workload_end_to_end() {
+        // One root value carrying ≥ 90% of the estimated work: the plan
+        // must be multi-task (anchor sub-shards), and the pooled output
+        // bit-identical to the sequential engine.
+        let rels = wcoj_datagen::hot_key_triangle(3, 96, 6);
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let weights = prepared.root_candidate_weights();
+        let total: u64 = weights.iter().map(|&(_, w)| w).sum();
+        let hot = weights.iter().map(|&(_, w)| w).max().unwrap();
+        assert!(
+            hot as f64 / total as f64 >= 0.9,
+            "hot key dominates: {hot}/{total}"
+        );
+        let service = Service::new(ServiceConfig::with_workers(4));
+        let cfg = floor_one();
+        let layout = service.shard_layout(&prepared, &cfg);
+        let subs = layout
+            .iter()
+            .filter(|t| t.is_some_and(|s| s.anchor.is_some()))
+            .count();
+        assert!(
+            subs >= 2,
+            "hot key split into ≥ 2 anchor sub-shards: {layout:?}"
+        );
+        assert_matches_sequential(&rels, 4, &cfg, "hot-key triangle");
+        // disabling intra-value splitting also stays correct (isolation
+        // only)
+        let cfg_off = ExecConfig {
+            heavy_split_factor: 0,
+            ..cfg
+        };
+        let layout = service.shard_layout(&prepared, &cfg_off);
+        assert!(layout.iter().flatten().all(|s| s.anchor.is_none()));
+        assert_matches_sequential(&rels, 4, &cfg_off, "hot-key triangle, split off");
+    }
+
+    #[test]
+    fn empty_root_domain_returns_zero_shard_plan() {
+        // Triangle whose root attribute (1) has a non-trivial domain in
+        // each relation but an empty intersection: π₁(R) = {1,2,3},
+        // π₁(S) = {7,8,9} → no candidate survives, the join is empty, and
+        // the pool never runs the engine.
+        let r = rel(&[0, 1], &[&[10, 1], &[10, 2], &[11, 3]]);
+        let s = rel(&[1, 2], &[&[7, 20], &[8, 20], &[9, 21]]);
+        let t = rel(&[0, 2], &[&[10, 20], &[11, 21]]);
+        let rels = [r, s, t];
+        let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
+        let plan = ShardPlan::plan(&prepared, 16, &floor_one());
+        assert_eq!(plan.root_candidates(), 0);
+        assert!(plan.root_domain_is_empty(&prepared));
+        let out = service_join(&rels, 4, &floor_one());
+        assert!(out.relation.is_empty());
+        assert_eq!(out.relation.arity(), 3);
+        assert_eq!(out.stats.shards, 0, "no shard ever ran");
+        assert_eq!(out.stats.case_a + out.stats.case_b, 0);
+        // matches the sequential engine bit for bit
+        assert_matches_sequential(&rels, 4, &floor_one(), "empty domain");
+        // a populated query is NOT a zero-shard plan
+        let populated = PreparedQuery::<TrieIndex>::new_indexed(&triangle()).unwrap();
+        let plan = ShardPlan::plan(&populated, 16, &floor_one());
+        assert!(!plan.root_domain_is_empty(&populated));
+        assert_eq!(plan.tasks().len(), plan.len().max(1));
+    }
+
+    #[test]
+    fn triangle_matches_sequential_across_thread_counts() {
+        let rels = [
+            wcoj_datagen::random_relation(1, &[0, 1], 120, 12),
+            wcoj_datagen::random_relation(2, &[1, 2], 120, 12),
+            wcoj_datagen::random_relation(3, &[0, 2], 120, 12),
+        ];
+        for workers in [1, 2, 4, 8] {
+            assert_matches_sequential(
+                &rels,
+                workers,
+                &floor_one(),
+                &format!("triangle, {workers} workers"),
+            );
+        }
+    }
+
+    #[test]
+    fn hard_triangle_and_paper_examples() {
+        let cfg = floor_one();
+        // Example 2.2: the adversarial empty-output triangle.
+        assert_matches_sequential(&wcoj_datagen::example_2_2(64), 4, &cfg, "example 2.2");
+        // AGM-tight grid triangle.
+        assert_matches_sequential(&wcoj_datagen::agm_tight_triangle(6), 4, &cfg, "agm tight");
+        // LW instance (n=4).
+        assert_matches_sequential(&wcoj_datagen::random_lw(5, 4, 120, 8), 4, &cfg, "lw4");
+        // 5-cycle.
+        let cycle = wcoj_datagen::cycle_instance(9, 5, 60, 10);
+        assert_matches_sequential(&cycle, 4, &cfg, "5-cycle");
+        // §5.2 worked example (5 relations, 6 attributes).
+        let figure2 = wcoj_datagen::worked_example(7, 80, 6);
+        assert_matches_sequential(&figure2, 4, &cfg, "figure 2");
+    }
+
+    #[test]
+    fn degenerate_queries() {
+        let cfg = floor_one();
+        // single relation
+        assert_matches_sequential(&[rel(&[0, 1], &[&[1, 2], &[3, 4]])], 4, &cfg, "single");
+        // empty input relation short-circuits
+        let out = service_join(
+            &[
+                rel(&[0, 1], &[&[1, 2]]),
+                Relation::empty(Schema::of(&[1, 2])),
+            ],
+            4,
+            &cfg,
+        );
+        assert!(out.relation.is_empty());
+        assert_eq!(out.relation.arity(), 3);
+        // nullary: join of non-empty nullary relations is "true"
+        let out = service_join(&[Relation::nullary_true()], 4, &cfg);
+        assert_eq!(out.relation.len(), 1);
+        assert_eq!(out.relation.arity(), 0);
+    }
+
+    #[test]
+    fn explicit_cover_and_bad_cover() {
+        // A valid non-optimal cover steers every shard of a sharded run:
+        // rows equal the sequential engine under the same cover, and the
+        // stats carry it. An invalid cover is refused at submit.
+        let rels = [
+            wcoj_datagen::random_relation(40, &[0, 1], 120, 12),
+            wcoj_datagen::random_relation(41, &[1, 2], 120, 12),
+            wcoj_datagen::random_relation(42, &[0, 2], 120, 12),
+        ];
+        let cover = [1.0, 1.0, 1.0];
+        let seq = join_with(&rels, Algorithm::Nprr, Some(&cover)).unwrap();
+        let service = Service::new(ServiceConfig::with_workers(4));
+        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        assert!(service.shard_layout(&*prepared, &floor_one()).len() > 1);
+        let out = service
+            .submit_with_cover(&prepared, Some(&cover), &floor_one())
+            .unwrap()
+            .wait()
+            .unwrap();
+        assert_eq!(out.relation, seq.relation);
+        assert_eq!(out.stats.cover, cover);
+        assert!((out.stats.log2_agm_bound - seq.stats.log2_agm_bound).abs() < 1e-9);
+        assert!(service
+            .submit_with_cover(&prepared, Some(&[0.1, 0.1, 0.1]), &floor_one())
+            .is_err());
+    }
+
+    #[test]
+    fn prepared_reuse_and_hash_backend() {
+        let rels = [
+            wcoj_datagen::random_relation(20, &[0, 1, 2], 80, 6),
+            wcoj_datagen::random_relation(21, &[2, 3], 80, 6),
+            wcoj_datagen::random_relation(22, &[0, 3], 80, 6),
+        ];
+        let seq = join_with(&rels, Algorithm::Nprr, None).unwrap();
+        let sorted = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let hashed = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap());
+        for workers in [2, 8] {
+            let service = Service::new(ServiceConfig::with_workers(workers));
+            let a = service
+                .submit(&sorted, &floor_one())
+                .unwrap()
+                .wait()
+                .unwrap();
+            let b = service
+                .submit(&hashed, &floor_one())
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(a.relation, seq.relation, "sorted, {workers} workers");
+            assert_eq!(b.relation, seq.relation, "hashed, {workers} workers");
+            // reuse is cheap: a second evaluation over the same preparation
+            let again = service
+                .submit(&sorted, &floor_one())
+                .unwrap()
+                .wait()
+                .unwrap();
+            assert_eq!(again.relation, seq.relation);
+        }
+    }
+
+    #[test]
+    fn stats_aggregate_across_shards() {
+        let rels = [
+            wcoj_datagen::random_relation(30, &[0, 1], 200, 16),
+            wcoj_datagen::random_relation(31, &[1, 2], 200, 16),
+            wcoj_datagen::random_relation(32, &[0, 2], 200, 16),
+        ];
+        let out = service_join(&rels, 4, &floor_one());
+        assert!(out.stats.shards > 1, "plan actually split");
+        assert!(out.stats.case_a + out.stats.case_b > 0);
+        assert!(out.stats.log2_agm_bound > 0.0);
     }
 }

@@ -1,25 +1,44 @@
-//! Property test for the partition-parallel engine (mirrors the style of
-//! `crates/storage/src/proptests.rs`): on random instances from
-//! `wcoj-datagen`, `par_join` must produce exactly the sequential
-//! `join_nprr` output — sorted row-set equality — for every thread count
-//! in {1, 2, 4, 8} and both index backends. The intra-value parallelism
-//! properties ride along: `heavy_split_factor` (0, 1, sensible, huge)
-//! never changes output, and every planned sub-shard family tiles the
-//! anchor domain exactly once — no gap, no overlap — against the
-//! [`PreparedQuery::anchor_candidates`] slices.
+//! Property tests for one query sharded over the service pool (mirrors
+//! the style of `crates/storage/src/proptests.rs`): on random instances
+//! from `wcoj-datagen`, a [`Service`] run must produce exactly the
+//! sequential `join_nprr` output — sorted row-set equality — for every
+//! pool size in {1, 2, 4, 8} and both index backends. The intra-value
+//! parallelism properties ride along: `heavy_split_factor` (0, 1,
+//! sensible, huge) never changes output, and every planned sub-shard
+//! family tiles the anchor domain exactly once — no gap, no overlap —
+//! against the [`PreparedQuery::anchor_candidates`] slices.
+
+use std::sync::Arc;
 
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use wcoj_core::nprr::PreparedQuery;
-use wcoj_core::JoinQuery;
-use wcoj_exec::{par_join_prepared, ExecConfig, ShardPlan, ShardSplit, OVERSPLIT};
-use wcoj_storage::{HashTrieIndex, Relation, TrieIndex, Value};
+use wcoj_core::{JoinOutput, JoinQuery};
+use wcoj_service::{ExecConfig, Service, ServiceConfig, ShardPlan, OVERSPLIT};
+use wcoj_storage::{HashTrieIndex, Relation, SearchTree, TrieIndex, Value};
 
 /// Sorted row set of a relation — the canonical comparison form.
 fn sorted_rows(rel: &Relation) -> Vec<Vec<Value>> {
     let mut rows: Vec<Vec<Value>> = rel.iter_rows().map(<[Value]>::to_vec).collect();
     rows.sort_unstable();
     rows
+}
+
+/// One prepared query on `service` under `cfg`.
+fn run<S>(service: &Service, prepared: &Arc<PreparedQuery<S>>, cfg: &ExecConfig) -> JoinOutput
+where
+    S: SearchTree + Send + Sync + 'static,
+{
+    service.submit(prepared, cfg).unwrap().wait().unwrap()
+}
+
+/// The service's default planning knobs with the shard floor at 1, so
+/// even small random domains split.
+fn floor_one(service: &Service) -> ExecConfig {
+    ExecConfig {
+        shard_min_size: 1,
+        ..service.exec_config()
+    }
 }
 
 /// A random multi-relation query instance: shapes drawn like the core
@@ -52,30 +71,31 @@ fn random_instance(seed: u64) -> Vec<Relation> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// `par_join` ≡ sequential `join_nprr` on random instances, across
-    /// thread counts and index backends.
+    /// A pooled run ≡ sequential `join_nprr` on random instances, across
+    /// pool sizes and index backends.
     #[test]
-    fn par_join_equals_sequential(seed in 0u64..10_000) {
+    fn pooled_run_equals_sequential(seed in 0u64..10_000) {
         let rels = random_instance(seed);
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
         let expect = sorted_rows(&seq.relation);
 
-        let sorted = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
-        let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap();
-        for threads in [1usize, 2, 4, 8] {
-            let cfg = ExecConfig { threads, shard_min_size: 1, ..ExecConfig::default() };
-            let a = par_join_prepared(&sorted, None, &cfg).unwrap();
+        let sorted = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let hashed = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(&rels).unwrap());
+        for workers in [1usize, 2, 4, 8] {
+            let service = Service::new(ServiceConfig::with_workers(workers));
+            let cfg = floor_one(&service);
+            let a = run(&service, &sorted, &cfg);
             prop_assert_eq!(
                 sorted_rows(&a.relation), expect.clone(),
-                "sorted backend, {} threads, seed {}", threads, seed
+                "sorted backend, {} workers, seed {}", workers, seed
             );
             prop_assert_eq!(a.relation.schema(), seq.relation.schema());
-            let b = par_join_prepared(&hashed, None, &cfg).unwrap();
+            let b = run(&service, &hashed, &cfg);
             prop_assert_eq!(
                 sorted_rows(&b.relation), expect.clone(),
-                "hash backend, {} threads, seed {}", threads, seed
+                "hash backend, {} workers, seed {}", workers, seed
             );
         }
     }
@@ -83,7 +103,7 @@ proptest! {
     /// Zipf-skewed triangles (heavy hitters stress the shard planner's
     /// oversplitting) still match exactly.
     #[test]
-    fn par_join_equals_sequential_skewed(seed in 0u64..2_000) {
+    fn pooled_run_equals_sequential_skewed(seed in 0u64..2_000) {
         let rels = [
             wcoj_datagen::zipf_relation(seed, &[0, 1], 150, 20, 1.2),
             wcoj_datagen::zipf_relation(seed + 1, &[1, 2], 150, 20, 1.2),
@@ -92,8 +112,10 @@ proptest! {
         let q = JoinQuery::new(&rels).unwrap();
         let sol = q.optimal_cover().unwrap();
         let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
-        let par = wcoj_exec::par_join(&rels, &ExecConfig { threads: 4, shard_min_size: 1, ..ExecConfig::default() }).unwrap();
-        prop_assert_eq!(sorted_rows(&par.relation), sorted_rows(&seq.relation));
+        let service = Service::new(ServiceConfig::with_workers(4));
+        let prepared = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap());
+        let pooled = run(&service, &prepared, &floor_one(&service));
+        prop_assert_eq!(sorted_rows(&pooled.relation), sorted_rows(&seq.relation));
     }
 
     /// `heavy_split_factor` is a pure performance knob: 0 and 1 (intra-
@@ -117,22 +139,21 @@ proptest! {
             let sol = q.optimal_cover().unwrap();
             let seq = wcoj_core::nprr::join_nprr(&q, &sol.x, sol.log2_bound).unwrap();
             let expect = sorted_rows(&seq.relation);
-            let sorted = PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap();
-            let hashed = PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap();
-            let threads = [2usize, 4, 8][rng.gen_range(0..3usize)];
+            let sorted = Arc::new(PreparedQuery::<TrieIndex>::new_indexed(rels).unwrap());
+            let hashed = Arc::new(PreparedQuery::<HashTrieIndex>::new_indexed(rels).unwrap());
+            let workers = [2usize, 4, 8][rng.gen_range(0..3usize)];
+            let service = Service::new(ServiceConfig::with_workers(workers));
             for factor in [0usize, 1, 2, 8, 1 << 20, usize::MAX] {
                 let cfg = ExecConfig {
-                    threads,
                     shard_min_size: 1,
-                    split: ShardSplit::Work,
                     heavy_split_factor: factor,
                 };
-                let a = par_join_prepared(&sorted, None, &cfg).unwrap();
+                let a = run(&service, &sorted, &cfg);
                 prop_assert_eq!(
                     sorted_rows(&a.relation), expect.clone(),
                     "instance {}, factor {}, seed {}", which, factor, seed
                 );
-                let b = par_join_prepared(&hashed, None, &cfg).unwrap();
+                let b = run(&service, &hashed, &cfg);
                 prop_assert_eq!(
                     sorted_rows(&b.relation), expect.clone(),
                     "hash, instance {}, factor {}, seed {}", which, factor, seed
@@ -157,19 +178,17 @@ proptest! {
         };
         let prepared = PreparedQuery::<TrieIndex>::new_indexed(&rels).unwrap();
         let factor = [2usize, 4, 8, 64][rng.gen_range(0..4usize)];
-        let threads = [2usize, 4, 8][rng.gen_range(0..3usize)];
+        let workers = [2usize, 4, 8][rng.gen_range(0..3usize)];
         let cfg = ExecConfig {
-            threads,
             shard_min_size: 1,
-            split: ShardSplit::Work,
             heavy_split_factor: factor,
         };
-        let plan = ShardPlan::plan(&prepared, threads * OVERSPLIT, &cfg);
+        let plan = ShardPlan::plan(&prepared, workers * OVERSPLIT, &cfg);
         // degenerate single-run plans have nothing to tile
         let shards = plan.shards();
         if !shards.is_empty() {
         // task budget: never more than 3 × requested + 1
-        prop_assert!(shards.len() <= 3 * threads * OVERSPLIT + 1, "{:?}", shards);
+        prop_assert!(shards.len() <= 3 * workers * OVERSPLIT + 1, "{:?}", shards);
         // root ranges tile [0, u64::MAX]
         prop_assert_eq!(shards[0].lo, Value(0));
         prop_assert_eq!(shards.last().unwrap().hi, Value(u64::MAX));

@@ -23,7 +23,7 @@ use wcoj::TraceLevel;
 fn main() {
     // WCOJ_TRACE (off | summary | verbose) selects the trace level; for
     // a self-contained demo, default the ring to summary when unset.
-    if let Some(level) = wcoj::exec::trace_level_from_env() {
+    if let Some(level) = wcoj::obs::env::trace_level_from_env() {
         trace().set_level(level);
     } else if trace().level() == TraceLevel::Off {
         trace().set_level(TraceLevel::Summary);
